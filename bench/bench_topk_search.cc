@@ -17,8 +17,8 @@
 //   per-query sketching   Q x TopKJoinMISearch(repository) — candidates
 //                         re-sketched on every query;
 //   index-backed probing  index build (paid once) + Q x
-//                         TopKJoinMISearch(index) — queries only join
-//                         against prepared candidate probe maps.
+//                         TopKJoinMISearch(index) — queries only merge
+//                         against the stored candidate sketches.
 //
 // Amortization is the headline: the index path pays the candidate
 // sketching cost once, so it wins as soon as a couple of queries share it.
@@ -894,7 +894,6 @@ void RunPagedStorage(const BenchParams& params,
     // observable behind the ShardedSketchIndex surface.
     PagedShardClient::Options options;
     options.pool_pages = pool_pages;
-    options.prepared_cache_entries = 0;  // measure the pool, not the cache
     std::vector<const PagedShardClient*> typed;
     std::vector<std::unique_ptr<ShardClient>> clients;
     uint64_t startup_bytes = 0;
@@ -1171,8 +1170,8 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
               "the excess deterministically instead of queueing it)\n");
 }
 
-// Part 9: the flattened probe hot path — what did the SoA arena, the
-// open-addressing probe tables, and batched strip scoring actually buy?
+// Part 9: the candidate-scoring hot path — what do the sorted-run merge
+// kernel and batched strip scoring buy over the pre-flattening path?
 //
 // The workload is the amortized-probe shape discovery hits at scale: one
 // prepared query probed against many candidates whose key domains are
@@ -1184,10 +1183,11 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
 //   legacy  — the pre-flattening production path, replicated verbatim:
 //             per-candidate std::unordered_map probe, per-join sample
 //             vectors and matched-key unordered_set;
-//   flat    — production per-candidate path (PreparedCandidateSketch on
-//             FlatProbeTable), one query.Estimate per candidate;
-//   batched — production SketchIndex::EvaluateAll (flat SoA strips, train
-//             runs computed once, arena match scratch).
+//   flat    — production per-candidate path, one
+//             query.Estimate(candidate.sketch()) per candidate (contract
+//             check + kernel merge + fresh sample);
+//   batched — production SketchIndex::EvaluateAll (the same kernel in
+//             strips, one reused scratch sample per strip).
 //
 // All three are cross-checked bit-identical before any timing, every
 // query. Timed single-threaded: this measures the probe path itself, not
@@ -1290,7 +1290,7 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   auto flat_evaluate = [](const JoinMIQuery& query,
                           const IndexedCandidate& candidate) {
     Outcome outcome;
-    auto estimate = query.Estimate(candidate.prepared);
+    auto estimate = query.Estimate(candidate.sketch());
     if (estimate.ok()) {
       outcome.estimate = *estimate;
     } else if (estimate.status().IsOutOfRange()) {
@@ -1327,9 +1327,8 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
     }
   }
 
-  // One untimed warm-up pass per path so thread_local scratch (arena,
-  // sample capacity, train-run vector) reaches its steady-state size
-  // before either the clocks or the allocation counter start.
+  // One untimed warm-up pass so caches and the allocator reach their
+  // steady state before either the clocks or the allocation counter start.
   for (const JoinMIQuery& query : queries) {
     index.EvaluateAll(query, 1).status().Abort("part 9 warm-up");
   }
@@ -1429,7 +1428,7 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   std::printf("legacy  (unordered_map/candidate): %8.1f ms  (%.1f ms/query, "
               "%.0f allocs/query)\n",
               legacy_ms, legacy_ms / num_queries, legacy_apq);
-  std::printf("flat    (prepared per-candidate) : %8.1f ms  (%.1f ms/query) "
+  std::printf("flat    (Estimate per candidate) : %8.1f ms  (%.1f ms/query) "
               " %.2fx vs legacy\n",
               flat_ms, flat_ms / num_queries, flat_speedup);
   std::printf("batched (EvaluateAll strips)     : %8.1f ms  (%.1f ms/query, "
@@ -1439,9 +1438,9 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   std::printf("probe phase only (no-join query) : %.1f allocs/query across "
               "%zu candidates\n",
               probe_allocs_per_query, index.size());
-  std::printf("(steady state: the batched path's probe scratch lives in a "
-              "reused bump arena, so a full probe sweep allocates O(1) — "
-              "the outcome vectors — regardless of candidate count; the "
+  std::printf("(steady state: the kernel sizes each join before copying a "
+              "value, so a full probe sweep allocates O(1) — the outcome "
+              "vectors — regardless of candidate count; the "
               "allocs/query above are dominated by the few candidates that "
               "actually reach the estimator)\n");
 
@@ -1463,8 +1462,8 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   // gate covers smoke regressions.
   if (probe_allocs_per_query >= 8.0) {
     std::fprintf(stderr,
-                 "FATAL: probe phase allocates %.1f blocks/query; the arena "
-                 "hot path promises O(1) (< 8)\n",
+                 "FATAL: probe phase allocates %.1f blocks/query; the "
+                 "kernel promises O(1) (< 8)\n",
                  probe_allocs_per_query);
     std::abort();
   }

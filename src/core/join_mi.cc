@@ -117,47 +117,19 @@ Result<Sketch> JoinMIQuery::SketchCandidate(
 }
 
 Result<JoinMIEstimate> JoinMIQuery::Estimate(const Sketch& candidate) const {
-  SketchMIResult sketch_result;
-  if (config_.estimator.has_value()) {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMI(train_sketch_, candidate, *config_.estimator,
-                         config_.mi_options, config_.min_join_size));
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMIAuto(train_sketch_, candidate, config_.mi_options,
-                             config_.min_join_size));
+  JOINMI_RETURN_NOT_OK(CheckCandidateSketch(candidate));
+  PairedSample sample;
+  const CandidateScore score = Score(candidate, &sample);
+  switch (score.kind) {
+    case CandidateScore::Kind::kEstimated:
+      return JoinMIEstimate{score.result.mi, score.result.estimator,
+                            score.result.join_size, /*sketched=*/true};
+    case CandidateScore::Kind::kSkipped:
+      return JoinBelowMinimum(score.result.join_size, config_.min_join_size);
+    case CandidateScore::Kind::kError:
+      break;
   }
-  JoinMIEstimate estimate;
-  estimate.mi = sketch_result.mi;
-  estimate.estimator = sketch_result.estimator;
-  estimate.sample_size = sketch_result.join_size;
-  estimate.sketched = true;
-  return estimate;
-}
-
-Result<JoinMIEstimate> JoinMIQuery::Estimate(
-    const PreparedCandidateSketch& candidate) const {
-  SketchMIResult sketch_result;
-  if (config_.estimator.has_value()) {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMI(train_sketch_.sketch(), candidate,
-                         *config_.estimator, config_.mi_options,
-                         config_.min_join_size));
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMIAuto(train_sketch_.sketch(), candidate,
-                             config_.mi_options, config_.min_join_size));
-  }
-  JoinMIEstimate estimate;
-  estimate.mi = sketch_result.mi;
-  estimate.estimator = sketch_result.estimator;
-  estimate.sample_size = sketch_result.join_size;
-  estimate.sketched = true;
-  return estimate;
+  return score.error;
 }
 
 Result<JoinMIEstimate> JoinMIQuery::EstimateTable(

@@ -75,13 +75,19 @@ class JoinMIQuery {
                                  const std::string& cand_key,
                                  const std::string& cand_value) const;
 
-  /// \brief Estimates MI against a pre-built candidate sketch.
+  /// \brief Estimates MI against a pre-built candidate sketch. Checks the
+  /// probe contract (CheckCandidateSketch) first, then scores through the
+  /// kernel; a join below min_join_size is OutOfRange.
   Result<JoinMIEstimate> Estimate(const Sketch& candidate) const;
 
-  /// \brief Estimates MI against a prepared (probe-map-indexed) candidate
-  /// sketch — the persisted-index hot path. Results match the Sketch
-  /// overload exactly.
-  Result<JoinMIEstimate> Estimate(const PreparedCandidateSketch& candidate) const;
+  /// \brief The scoring kernel under this query's config, for candidates
+  /// already known to honor the probe contract (index- and record-loaded
+  /// ones, builder output). `scratch` is the caller's reusable sample.
+  CandidateScore Score(const Sketch& candidate, PairedSample* scratch) const {
+    return train_sketch_.Score(candidate, config_.estimator,
+                               config_.mi_options, config_.min_join_size,
+                               scratch);
+  }
 
   /// \brief Convenience: sketch + estimate in one call.
   Result<JoinMIEstimate> EstimateTable(const Table& cand,
@@ -101,8 +107,7 @@ class JoinMIQuery {
   JoinMIQuery(PreparedTrainSketch train_sketch, JoinMIConfig config)
       : train_sketch_(std::move(train_sketch)), config_(std::move(config)) {}
 
-  // Pre-indexed for repeated probing: Estimate() against many candidate
-  // sketches skips the per-join probe-map build.
+  // Prepared once (key runs built), then merged against every candidate.
   PreparedTrainSketch train_sketch_;
   JoinMIConfig config_;
   // Heap-held so the query stays movable (std::once_flag is not).

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/common/thread_pool.h"
-#include "src/discovery/topk_merge.h"
 #include "src/sketch/serialize.h"
 
 namespace joinmi {
@@ -27,6 +25,7 @@ Result<CandidateRecord> DecodeCandidateRecord(const std::string& record) {
   std::string blob;
   JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&blob));
   JOINMI_ASSIGN_OR_RETURN(out.sketch, DeserializeSketch(blob));
+  JOINMI_RETURN_NOT_OK(CheckCandidateSketch(out.sketch));
   if (!reader.AtEnd()) {
     return Status::IOError("trailing bytes after candidate record");
   }
@@ -57,36 +56,7 @@ Result<std::unique_ptr<PagedShardClient>> PagedShardClient::Open(
     }
   }
   return std::unique_ptr<PagedShardClient>(
-      new PagedShardClient(std::move(file), std::move(global_indices),
-                           options.prepared_cache_entries));
-}
-
-Result<std::shared_ptr<const PagedShardClient::Materialized>>
-PagedShardClient::Materialize(size_t index) const {
-  if (cache_capacity_ > 0) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = prepared_cache_.find(index);
-    if (it != prepared_cache_.end()) return it->second;
-  }
-  JOINMI_ASSIGN_OR_RETURN(std::string bytes, file_->ReadRecord(index));
-  JOINMI_ASSIGN_OR_RETURN(CandidateRecord record,
-                          DecodeCandidateRecord(bytes));
-  JOINMI_ASSIGN_OR_RETURN(
-      PreparedCandidateSketch prepared,
-      PreparedCandidateSketch::Create(std::move(record.sketch)));
-  auto materialized = std::make_shared<const Materialized>(
-      Materialized{std::move(record.ref), std::move(prepared)});
-  if (cache_capacity_ > 0) {
-    // First admitted stays: a bounded set of hot candidates keeps its
-    // probe maps across queries with zero eviction churn; everything else
-    // rematerializes per probe, bounded by the buffer pool.
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (prepared_cache_.size() < cache_capacity_) {
-      auto inserted = prepared_cache_.emplace(index, materialized);
-      return inserted.first->second;
-    }
-  }
-  return materialized;
+      new PagedShardClient(std::move(file), std::move(global_indices)));
 }
 
 Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
@@ -105,63 +75,22 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
         std::to_string(config().hash_seed));
   }
 
-  // Per-candidate outcome, written by exactly one worker. The taxonomy
-  // matches the in-memory path, with one paged-only case folded into
-  // "hard error": a record whose page fails checksum on fault-in. That
-  // keeps a single corrupt page from failing the whole query — only the
-  // probes that touch it.
-  struct Outcome {
-    std::optional<JoinMIEstimate> estimate;
-    bool skipped = false;
-    ColumnPairRef ref;
-  };
-  const size_t count = num_candidates();
-  std::vector<Outcome> outcomes(count);
-  auto evaluate_one = [this, &query, &outcomes](size_t i) {
-    auto materialized = Materialize(i);
-    if (!materialized.ok()) return;  // hard error
-    auto estimate = query.Estimate((*materialized)->prepared);
-    if (estimate.ok()) {
-      outcomes[i].estimate = *estimate;
-      outcomes[i].ref = (*materialized)->ref;
-    } else if (estimate.status().IsOutOfRange()) {
-      outcomes[i].skipped = true;
-    }
-  };
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) evaluate_one(i);
-  } else {
-    ThreadPool pool(threads);
-    for (size_t i = 0; i < count; ++i) {
-      pool.Submit([&evaluate_one, i] { evaluate_one(i); });
-    }
-    pool.Wait();
-  }
-
-  ShardSearchResult result;
-  result.num_candidates = count;
-  std::vector<std::optional<JoinMIEstimate>> estimates;
-  estimates.reserve(count);
-  for (Outcome& outcome : outcomes) {
-    if (outcome.estimate.has_value()) {
-      ++result.num_evaluated;
-    } else if (outcome.skipped) {
-      ++result.num_skipped;
-    } else {
-      ++result.num_errors;
-    }
-    estimates.push_back(outcome.estimate);
-  }
-  internal::TopKSelection selection = internal::SelectTopKByMI(
-      estimates, k, [this](size_t i) { return global_indices_[i]; });
-  result.hits.reserve(selection.indices.size());
-  for (size_t i : selection.indices) {
-    result.hits.push_back(ShardSearchHit{global_indices_[i], outcomes[i].ref,
-                                         *estimates[i]});
-  }
-  return result;
+  // A record that fails to fault in (page checksum) or decode is one
+  // hard error, not a failed query — only the probes touching it fail.
+  // Each decoded record leaves its ref behind for the hit list.
+  std::vector<ColumnPairRef> refs(num_candidates());
+  IndexEvaluation evaluation = ScoreCandidates(
+      refs.size(), num_threads, /*strip=*/1,
+      [this, &query, &refs](size_t i, PairedSample* scratch) {
+        auto bytes = file_->ReadRecord(i);
+        if (!bytes.ok()) return CandidateScore::Failed(bytes.status());
+        auto record = DecodeCandidateRecord(*bytes);
+        if (!record.ok()) return CandidateScore::Failed(record.status());
+        refs[i] = std::move(record->ref);
+        return query.Score(record->sketch, scratch);
+      });
+  return SelectShardHits(evaluation, k, global_indices_,
+                         [&refs](size_t i) { return std::move(refs[i]); });
 }
 
 }  // namespace joinmi

@@ -8,6 +8,7 @@
 #include "src/discovery/replica_router.h"
 #include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/search.h"
+#include "src/ingest/delta_shard_client.h"
 #include "src/ingest/generation.h"
 #include "src/sketch/serialize.h"
 
@@ -265,7 +266,6 @@ Status Router::Reload(const std::string& manifest_ref) {
   // already makes stale entries unreachable; clearing reclaims their
   // memory immediately.
   CacheClear();
-  registry_.GetCounter("router.reloads")->Add();
   registry_.GetCounter("router.reload.count")->Add();
   registry_.GetCounter("router.manifest.epoch")->Set(epoch);
   return Status::OK();
@@ -342,8 +342,7 @@ std::string Router::StatsJson() const {
         dials += replicated->replica(r).pool().total_dials();
       }
       registry_.GetCounter(prefix + "replica.dials")->Set(dials);
-    } else if (const auto* paged =
-                   dynamic_cast<const PagedShardClient*>(&client)) {
+    } else if (const PagedShardClient* paged = ingest::PagedBaseOf(client)) {
       const storage::BufferPoolStats pool = paged->pool_stats();
       registry_.GetCounter(prefix + "pool.hits")->Set(pool.hits);
       registry_.GetCounter(prefix + "pool.misses")->Set(pool.misses);

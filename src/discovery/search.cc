@@ -5,50 +5,28 @@
 #include <optional>
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/discovery/topk_merge.h"
 
 namespace joinmi {
 
 namespace {
 
-struct CandidateOutcome {
-  std::optional<JoinMIEstimate> estimate;
-  bool skipped = false;  // overlap below min_join_size (OutOfRange)
-};
-
-// Evaluates candidate pair `i` into `outcomes[i]`. Runs on worker threads:
-// touches only const shared state plus its own outcome slot. An OutOfRange
-// estimate marks the slot skipped; every other failure (missing table,
-// unsketchable column, estimator error) leaves {nullopt, skipped=false},
-// which the merge counts as a hard error.
-void EvaluateCandidate(const JoinMIQuery& query,
-                       const TableRepository& repository,
-                       const ColumnPairRef& ref, CandidateOutcome* outcome) {
-  auto table = repository.GetTable(ref.table_name);
-  if (!table.ok()) return;
-  auto estimate = query.EstimateTable(**table, ref.key_column,
-                                      ref.value_column);
-  if (estimate.ok()) {
-    outcome->estimate = *estimate;
-  } else if (estimate.status().IsOutOfRange()) {
-    outcome->skipped = true;
-  }
-}
-
 // Deterministic top-k merge shared by both unsharded search overloads:
 // ranks the present estimates by the canonical discovery order
 // (topk_merge.h) with the enumeration index (== candidate order, sorted
 // for repositories, insertion order for indexes) as the ordering key, then
-// fills result->hits using ref_at(i) for provenance. Also sets
-// num_evaluated.
+// fills result->hits using ref_at(i) for provenance. Also copies the
+// outcome counts.
 template <typename RefAt>
-void MergeTopKByEnumeration(
-    const std::vector<std::optional<JoinMIEstimate>>& estimates, size_t k,
-    RefAt&& ref_at, TopKSearchResult* result) {
+void MergeTopKByEnumeration(const IndexEvaluation& evaluation, size_t k,
+                            RefAt&& ref_at, TopKSearchResult* result) {
+  const std::vector<std::optional<JoinMIEstimate>>& estimates =
+      evaluation.estimates;
   internal::TopKSelection selection = internal::SelectTopKByMI(
       estimates, k, [](size_t i) { return static_cast<uint64_t>(i); });
   result->num_evaluated = selection.num_evaluated;
+  result->num_skipped = evaluation.num_skipped;
+  result->num_errors = evaluation.num_errors;
   result->hits.reserve(selection.indices.size());
   for (size_t i : selection.indices) {
     result->hits.push_back(SearchHit{ref_at(i), *estimates[i]});
@@ -70,41 +48,24 @@ Result<TopKSearchResult> TopKJoinMISearch(const Table& base_table,
       JoinMIQuery::Create(base_table, spec.base_key, spec.base_target,
                           config.join_config));
 
+  // Each pair is sketched on the spot and scored by the same kernel the
+  // indexes use. A missing table or an unsketchable column (all-null,
+  // type mismatch) is a hard error for that pair only.
   const std::vector<ColumnPairRef> pairs = repository.ExtractColumnPairs();
-  std::vector<CandidateOutcome> outcomes(pairs.size());
-
-  const size_t num_threads = config.num_threads == 0
-                                 ? ThreadPool::DefaultThreadCount()
-                                 : config.num_threads;
-  if (num_threads <= 1 || pairs.size() <= 1) {
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      EvaluateCandidate(query, repository, pairs[i], &outcomes[i]);
-    }
-  } else {
-    ThreadPool pool(num_threads);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      pool.Submit([&query, &repository, &pairs, &outcomes, i] {
-        EvaluateCandidate(query, repository, pairs[i], &outcomes[i]);
+  IndexEvaluation evaluation = ScoreCandidates(
+      pairs.size(), config.num_threads, /*strip=*/1,
+      [&query, &repository, &pairs](size_t i, PairedSample* scratch) {
+        auto table = repository.GetTable(pairs[i].table_name);
+        if (!table.ok()) return CandidateScore::Failed(table.status());
+        auto sketch = query.SketchCandidate(**table, pairs[i].key_column,
+                                            pairs[i].value_column);
+        if (!sketch.ok()) return CandidateScore::Failed(sketch.status());
+        return query.Score(*sketch, scratch);
       });
-    }
-    pool.Wait();
-  }
 
   TopKSearchResult result;
   result.num_candidates = pairs.size();
-  std::vector<std::optional<JoinMIEstimate>> estimates;
-  estimates.reserve(outcomes.size());
-  for (CandidateOutcome& outcome : outcomes) {
-    if (!outcome.estimate.has_value()) {
-      if (outcome.skipped) {
-        ++result.num_skipped;
-      } else {
-        ++result.num_errors;
-      }
-    }
-    estimates.push_back(std::move(outcome.estimate));
-  }
-  MergeTopKByEnumeration(estimates, k,
+  MergeTopKByEnumeration(evaluation, k,
                          [&pairs](size_t i) { return pairs[i]; }, &result);
   return result;
 }
@@ -144,10 +105,8 @@ Result<TopKSearchResult> SketchIndex::SearchQuery(const JoinMIQuery& query,
                           EvaluateAll(query, num_threads));
   TopKSearchResult result;
   result.num_candidates = size();
-  result.num_skipped = evaluation.num_skipped;
-  result.num_errors = evaluation.num_errors;
   MergeTopKByEnumeration(
-      evaluation.estimates, k,
+      evaluation, k,
       [this](size_t i) { return candidates()[i].ref; }, &result);
   return result;
 }

@@ -65,19 +65,6 @@ Result<LoadedGeneration> LoadGeneration(const std::string& manifest_ref,
   return loaded;
 }
 
-// Digs the paged base out of a serving client: a plain PagedShardClient,
-// or a delta overlay whose base is paged. Null for whole-file serving.
-const PagedShardClient* PagedOf(const ShardClient& client) {
-  if (const auto* paged = dynamic_cast<const PagedShardClient*>(&client)) {
-    return paged;
-  }
-  if (const auto* overlay =
-          dynamic_cast<const ingest::DeltaShardClient*>(&client)) {
-    return dynamic_cast<const PagedShardClient*>(&overlay->base());
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<ShardServer>> ShardServer::Create(
@@ -124,24 +111,24 @@ size_t ShardServer::num_candidates() const {
 }
 
 bool ShardServer::serving_paged() const {
-  return PagedOf(*Snapshot()) != nullptr;
+  return ingest::PagedBaseOf(*Snapshot()) != nullptr;
 }
 
 storage::PagedOpenStats ShardServer::paged_open_stats() const {
   auto snapshot = Snapshot();
-  const PagedShardClient* paged = PagedOf(*snapshot);
+  const PagedShardClient* paged = ingest::PagedBaseOf(*snapshot);
   return paged != nullptr ? paged->open_stats() : storage::PagedOpenStats{};
 }
 
 storage::BufferPoolStats ShardServer::pool_stats() const {
   auto snapshot = Snapshot();
-  const PagedShardClient* paged = PagedOf(*snapshot);
+  const PagedShardClient* paged = ingest::PagedBaseOf(*snapshot);
   return paged != nullptr ? paged->pool_stats() : storage::BufferPoolStats{};
 }
 
 size_t ShardServer::pool_capacity() const {
   auto snapshot = Snapshot();
-  const PagedShardClient* paged = PagedOf(*snapshot);
+  const PagedShardClient* paged = ingest::PagedBaseOf(*snapshot);
   return paged != nullptr ? paged->pool_capacity() : 0;
 }
 
@@ -159,7 +146,7 @@ std::string ShardServer::StatsJson() const {
       ->Set(gate_.max_pending());
   registry_.GetCounter("server.admission.admitted")->Set(gate_.admitted());
   registry_.GetCounter("server.admission.rejected")->Set(gate_.rejected());
-  const PagedShardClient* paged = PagedOf(*snapshot);
+  const PagedShardClient* paged = ingest::PagedBaseOf(*snapshot);
   registry_.GetCounter("server.paged")->Set(paged != nullptr ? 1 : 0);
   if (paged != nullptr) {
     const storage::PagedOpenStats open = paged->open_stats();

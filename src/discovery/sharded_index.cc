@@ -21,14 +21,6 @@ namespace {
 // seed so shard placement never correlates with sketch sampling.
 constexpr uint32_t kShardAssignSeed = 0x5A4DC0DEu;
 
-// Orders hits by the canonical discovery order (topk_merge.h) with the
-// global insertion index as the key — the same total order the unsharded
-// merge uses, which is what makes sharded rankings bit-identical.
-bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
-  return internal::BetterByMIThenKey(a.estimate.mi, a.global_index,
-                                     b.estimate.mi, b.global_index);
-}
-
 std::string ShardFileName(size_t shard, ShardFileFormat format) {
   char name[32];
   std::snprintf(name, sizeof(name),
@@ -47,6 +39,34 @@ std::string ResolveShardPath(const ShardManifestEntry& entry,
 }
 
 }  // namespace
+
+bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
+  return internal::BetterByMIThenKey(a.estimate.mi, a.global_index,
+                                     b.estimate.mi, b.global_index);
+}
+
+ShardSearchResult SelectShardHits(
+    const IndexEvaluation& evaluation, size_t k,
+    const std::vector<uint64_t>& global_indices,
+    const std::function<ColumnPairRef(size_t)>& ref_at) {
+  ShardSearchResult result;
+  result.num_candidates = evaluation.estimates.size();
+  result.num_evaluated = evaluation.num_evaluated;
+  result.num_skipped = evaluation.num_skipped;
+  result.num_errors = evaluation.num_errors;
+  // Within one shard global order equals local order, but selecting on the
+  // global key keeps the shard's top-k consistent with the cross-shard
+  // merge by construction.
+  internal::TopKSelection selection = internal::SelectTopKByMI(
+      evaluation.estimates, k,
+      [&global_indices](size_t i) { return global_indices[i]; });
+  result.hits.reserve(selection.indices.size());
+  for (size_t i : selection.indices) {
+    result.hits.push_back(
+        ShardSearchHit{global_indices[i], ref_at(i), *evaluation.estimates[i]});
+  }
+  return result;
+}
 
 // ------------------------------------------------------- LocalShardClient
 
@@ -76,24 +96,9 @@ Result<ShardSearchResult> LocalShardClient::Search(const JoinMIQuery& query,
   }
   JOINMI_ASSIGN_OR_RETURN(IndexEvaluation evaluation,
                           index_.EvaluateAll(query, num_threads));
-  ShardSearchResult result;
-  result.num_candidates = index_.size();
-  result.num_evaluated = evaluation.num_evaluated;
-  result.num_skipped = evaluation.num_skipped;
-  result.num_errors = evaluation.num_errors;
-  // Within one shard global order equals local order, but selecting on the
-  // global key keeps the shard's top-k consistent with the cross-shard
-  // merge by construction.
-  internal::TopKSelection selection = internal::SelectTopKByMI(
-      evaluation.estimates, k,
-      [this](size_t i) { return global_indices_[i]; });
-  result.hits.reserve(selection.indices.size());
-  for (size_t i : selection.indices) {
-    result.hits.push_back(ShardSearchHit{global_indices_[i],
-                                         index_.candidates()[i].ref,
-                                         *evaluation.estimates[i]});
-  }
-  return result;
+  return SelectShardHits(
+      evaluation, k, global_indices_,
+      [this](size_t i) { return index_.candidates()[i].ref; });
 }
 
 // ----------------------------------------------------- ShardedSketchIndex
@@ -186,7 +191,6 @@ ShardClientFactory ShardedSketchIndex::LocalFileFactory(
       // queries touch.
       PagedShardClient::Options paged_options;
       paged_options.pool_pages = options.pool_pages;
-      paged_options.prepared_cache_entries = options.prepared_cache_entries;
       JOINMI_ASSIGN_OR_RETURN(
           std::unique_ptr<PagedShardClient> client,
           PagedShardClient::Open(resolved, base_indices, paged_options));
@@ -471,7 +475,7 @@ Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
     const IndexedCandidate& candidate = index.candidates()[i];
     const size_t s = AssignShard(policy, i, candidate.ref, num_shards);
     // Sketch is copied (not shared): each shard file must be independently
-    // loadable, and AddSketch rebuilds the candidate probe map.
+    // loadable.
     JOINMI_RETURN_NOT_OK(
         shards[s].AddSketch(candidate.ref, candidate.sketch()));
     manifest.shards[s].global_indices.push_back(i);

@@ -58,6 +58,11 @@ struct ShardSearchHit {
   JoinMIEstimate estimate;
 };
 
+/// \brief True iff `a` ranks before `b` in the canonical discovery order
+/// (MI desc, global index asc) — the order every cross-shard and overlay
+/// merge sorts by, which is what keeps them bit-identical to unsharded.
+bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b);
+
 /// \brief Outcome of one shard-level (or merged) top-k search. Hits are
 /// sorted by (MI desc, global index asc) and truncated to k.
 struct ShardSearchResult {
@@ -72,6 +77,14 @@ struct ShardSearchResult {
   /// shards that answered.
   std::vector<ShardFailure> shard_failures;
 };
+
+/// \brief One shard's answer from its tallied candidates: the outcome
+/// counts plus the top-k present estimates under (MI desc, global index
+/// asc), with provenance from `ref_at(i)` for local position i.
+ShardSearchResult SelectShardHits(
+    const IndexEvaluation& evaluation, size_t k,
+    const std::vector<uint64_t>& global_indices,
+    const std::function<ColumnPairRef(size_t)>& ref_at);
 
 /// \brief One (k, min_join_size) variant of a batched search — many
 /// variants share one sketched query, which over RPC shares one uploaded
@@ -174,8 +187,6 @@ class ShardedSketchIndex : public Searchable {
   struct LocalShardLoadOptions {
     /// Buffer-pool budget per paged shard, in pages.
     size_t pool_pages = 64;
-    /// Per-shard pinned prepared-probe cache entries (0 disables).
-    size_t prepared_cache_entries = 8;
   };
 
   /// \brief The factory behind single-argument Load: opens each shard

@@ -3,9 +3,10 @@
 // every indexed candidate to rank augmentations by estimated MI — the
 // deployment shape motivating the paper (Sections I, III, V-C).
 //
-// The index is the persisted backbone of that deployment: candidates carry
-// prepared probe maps so repeated queries are pure hash lookups, queries fan
-// out across a thread pool with a deterministic merge, and the whole index
+// The index is the persisted backbone of that deployment: each candidate's
+// sketch is stored once, validated at add time so every query can merge it
+// against the prepared train runs, queries fan out across a thread pool
+// with a deterministic merge, and the whole index
 // (config + provenance + sketches) serializes to a versioned binary format
 // so it can be built offline and served after a restart.
 //
@@ -22,6 +23,7 @@
 #ifndef JOINMI_DISCOVERY_SKETCH_INDEX_H_
 #define JOINMI_DISCOVERY_SKETCH_INDEX_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,17 +31,16 @@
 #include "src/core/join_mi.h"
 #include "src/discovery/repository.h"
 #include "src/discovery/searchable.h"
-#include "src/sketch/flat_index.h"
 
 namespace joinmi {
 
-/// \brief One indexed candidate: provenance plus its pre-built sketch,
-/// wrapped in the probe map that makes repeated queries cheap.
+/// \brief One indexed candidate: provenance plus its pre-built sketch —
+/// the only copy of the candidate the index keeps.
 struct IndexedCandidate {
   ColumnPairRef ref;
-  PreparedCandidateSketch prepared;
+  Sketch stored_sketch;
 
-  const Sketch& sketch() const { return prepared.sketch(); }
+  const Sketch& sketch() const { return stored_sketch; }
 };
 
 /// \brief One ranked answer from a discovery query.
@@ -66,6 +67,19 @@ struct IndexEvaluation {
   size_t num_errors = 0;
 };
 
+/// \brief Scores candidate `index` with the kernel (JoinMIQuery::Score),
+/// using the worker's reusable `scratch` sample.
+using CandidateScorer =
+    std::function<CandidateScore(size_t index, PairedSample* scratch)>;
+
+/// \brief The fan-out and outcome tally every candidate loop shares:
+/// scores candidates [0, count) in strips of `strip` on a per-call thread
+/// pool (`num_threads` 0 = hardware concurrency, 1 = inline), then tallies
+/// the outcomes in enumeration order — so results never depend on the
+/// thread count.
+IndexEvaluation ScoreCandidates(size_t count, size_t num_threads,
+                                size_t strip, const CandidateScorer& score);
+
 /// \brief Sketch-per-candidate index over a repository.
 class SketchIndex : public Searchable {
  public:
@@ -82,7 +96,8 @@ class SketchIndex : public Searchable {
 
   /// \brief Adds a pre-built candidate sketch (the deserialization path).
   /// Rejects sketches whose hash seed disagrees with the index config —
-  /// they could never join a query sketched under this config.
+  /// they could never join a query sketched under this config — and ones
+  /// that break the probe contract (CheckCandidateSketch).
   Status AddSketch(const ColumnPairRef& ref, Sketch sketch);
 
   /// \brief Indexes every extractable column pair of the repository.
@@ -93,14 +108,9 @@ class SketchIndex : public Searchable {
   /// \brief Evaluates the query against every candidate, fanning out on a
   /// thread pool (`num_threads` 0 = hardware concurrency, 1 = inline).
   /// Outcomes land in enumeration order, so results never depend on the
-  /// thread count. Fails fast on a query/index hash-seed mismatch.
-  ///
-  /// Hot path: candidates are scored in strips against the flat SoA arena
-  /// (one pass over the train sketch's key runs per strip, matches
-  /// collected in a per-thread bump arena) instead of one prepared-sketch
-  /// join per candidate. The join sample each candidate sees is
-  /// byte-identical to `query.Estimate(prepared)` — same train-entry
-  /// order, same values, same scoring tail — so rankings cannot differ.
+  /// thread count. Fails fast on a query/index hash-seed mismatch. Each
+  /// candidate is scored by the kernel under the query's config, exactly
+  /// as `query.Estimate(candidate.sketch())` scores it.
   Result<IndexEvaluation> EvaluateAll(const JoinMIQuery& query,
                                       size_t num_threads = 0) const;
 
@@ -121,24 +131,17 @@ class SketchIndex : public Searchable {
                                        size_t num_threads,
                                        ShardQueryMode mode) const override;
 
-  /// \brief The SoA probe arena backing the batched EvaluateAll path.
-  const FlatSketchIndex& flat() const { return flat_; }
-
  private:
   JoinMIConfig config_;
   std::vector<IndexedCandidate> candidates_;
-  // Mirror of candidates_ in structure-of-arrays form: all key hashes,
-  // values, and probe regions packed contiguously. Built once per
-  // AddSketch (never per query) and read-only afterwards.
-  FlatSketchIndex flat_;
 };
 
 /// \brief Serializes the index (config, refs, sketches) to a binary string.
 std::string SerializeIndex(const SketchIndex& index);
 
 /// \brief Parses a serialized index; validates magic, version, enum tags,
-/// and every embedded sketch, so corrupted inputs fail cleanly. The
-/// candidate probe maps are rebuilt on load.
+/// and every embedded sketch (including the probe contract), so corrupted
+/// inputs fail cleanly, naming the candidate.
 Result<SketchIndex> DeserializeIndex(const std::string& data);
 
 /// \brief Writes the index to a file.

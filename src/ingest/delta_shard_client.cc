@@ -6,18 +6,12 @@
 #include <vector>
 
 #include "src/discovery/paged_shard_index.h"
-#include "src/discovery/topk_merge.h"
 #include "src/ingest/delta_segment.h"
 
 namespace joinmi {
 namespace ingest {
 
 namespace {
-
-bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
-  return internal::BetterByMIThenKey(a.estimate.mi, a.global_index,
-                                     b.estimate.mi, b.global_index);
-}
 
 std::string ResolveDeltaPath(const ShardManifestEntry& entry,
                              const std::string& manifest_dir) {
@@ -64,6 +58,16 @@ Result<ShardSearchResult> DeltaShardClient::Search(const JoinMIQuery& query,
   std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
   if (merged.hits.size() > k) merged.hits.resize(k);
   return merged;
+}
+
+const PagedShardClient* PagedBaseOf(const ShardClient& client) {
+  if (const auto* paged = dynamic_cast<const PagedShardClient*>(&client)) {
+    return paged;
+  }
+  if (const auto* overlay = dynamic_cast<const DeltaShardClient*>(&client)) {
+    return dynamic_cast<const PagedShardClient*>(&overlay->base());
+  }
+  return nullptr;
 }
 
 Result<std::unique_ptr<ShardClient>> LoadDeltaOverlay(

@@ -20,6 +20,9 @@
 #include "src/discovery/sharded_index.h"
 
 namespace joinmi {
+
+class PagedShardClient;
+
 namespace ingest {
 
 /// \brief ShardClient overlaying a base shard with its delta segment.
@@ -53,6 +56,11 @@ class DeltaShardClient : public ShardClient {
   std::unique_ptr<ShardClient> base_;
   std::unique_ptr<ShardClient> delta_;
 };
+
+/// \brief The paged shard serving `client`: the client itself, or the
+/// base of a delta overlay on one. Null for whole-file shards — the one
+/// lookup every stats surface uses, so pool counters survive a publish.
+const PagedShardClient* PagedBaseOf(const ShardClient& client);
 
 /// \brief Loads the published delta of `entry` (path resolved relative to
 /// `manifest_dir`) and overlays it onto `base`: reads exactly the

@@ -1,6 +1,5 @@
 #include "src/sketch/sketch_join.h"
 
-#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -51,6 +50,34 @@ Result<MIEstimatorKind> ChooseEstimatorForSample(const PairedSample& sample) {
 
 }  // namespace
 
+Status CheckCandidateSketch(const Sketch& candidate) {
+  if (candidate.side != SketchSide::kCandidate) {
+    return Status::InvalidArgument(
+        "expected a candidate-side sketch, got a train-side one");
+  }
+  for (size_t i = 1; i < candidate.entries.size(); ++i) {
+    const uint64_t prev = candidate.entries[i - 1].key_hash;
+    const uint64_t key = candidate.entries[i].key_hash;
+    if (key == prev) {
+      return Status::InvalidArgument(
+          "candidate sketch has duplicate keys (entry " + std::to_string(i) +
+          "); was it built as a train sketch?");
+    }
+    if (key < prev) {
+      return Status::InvalidArgument(
+          "candidate sketch entries are not sorted by key_hash (entry " +
+          std::to_string(i) + " descends)");
+    }
+  }
+  return Status::OK();
+}
+
+Status JoinBelowMinimum(size_t join_size, size_t min_join_size) {
+  return Status::OutOfRange(
+      "sketch join produced " + std::to_string(join_size) +
+      " samples, fewer than the required " + std::to_string(min_join_size));
+}
+
 Result<SketchMIResult> ScoreSketchJoinSample(
     const PairedSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
@@ -59,9 +86,7 @@ Result<SketchMIResult> ScoreSketchJoinSample(
   // matter which estimator would have run, and skipping first keeps the
   // common below-cutoff case free of any scoring work.
   if (join_size < min_join_size) {
-    return Status::OutOfRange(
-        "sketch join produced " + std::to_string(join_size) +
-        " samples, fewer than the required " + std::to_string(min_join_size));
+    return JoinBelowMinimum(join_size, min_join_size);
   }
   SketchMIResult result;
   result.join_size = join_size;
@@ -110,120 +135,100 @@ Result<SketchJoinResult> JoinSketches(const Sketch& train,
 }
 
 Result<PreparedTrainSketch> PreparedTrainSketch::Create(Sketch train) {
-  FlatProbeTable groups(train.entries.size());
-  for (uint32_t i = 0; i < train.entries.size();) {
-    const uint64_t hash = train.entries[i].key_hash;
+  std::vector<uint64_t> run_keys;
+  std::vector<Span> run_spans;
+  const std::vector<SketchEntry>& entries = train.entries;
+  for (uint32_t i = 0; i < entries.size();) {
+    const uint64_t hash = entries[i].key_hash;
     uint32_t end = i + 1;
-    while (end < train.entries.size() &&
-           train.entries[end].key_hash == hash) {
-      ++end;
-    }
-    // The [begin, end) range packs into one probe payload; a non-adjacent
-    // repeat of `hash` means the entries were not sorted.
-    if (!groups.Insert(hash, (uint64_t{i} << 32) | end)) {
+    while (end < entries.size() && entries[end].key_hash == hash) ++end;
+    if (!run_keys.empty() && hash < run_keys.back()) {
       return Status::InvalidArgument(
           "train sketch entries are not sorted by key_hash");
     }
+    run_keys.push_back(hash);
+    run_spans.emplace_back(i, end);
     i = end;
   }
-  return PreparedTrainSketch(std::move(train), std::move(groups));
+  return PreparedTrainSketch(std::move(train), std::move(run_keys),
+                             std::move(run_spans));
+}
+
+template <typename OnMatch>
+void PreparedTrainSketch::Merge(const Sketch& candidate,
+                                OnMatch&& on_match) const {
+  // Both sides ascend (train runs by construction, candidates by
+  // CheckCandidateSketch), so the intersection is one linear pass. Hashed
+  // keys interleave unpredictably, so the cursors advance without a
+  // branch; only the (rare) match branches.
+  const SketchEntry* cand = candidate.entries.data();
+  const size_t cand_len = candidate.entries.size();
+  const size_t num_runs = run_keys_.size();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < num_runs && j < cand_len) {
+    const uint64_t tk = run_keys_[i];
+    const uint64_t ck = cand[j].key_hash;
+    if (tk == ck) on_match(run_spans_[i], cand[j].value);
+    i += tk <= ck;
+    j += ck <= tk;
+  }
 }
 
 Result<SketchJoinResult> PreparedTrainSketch::Join(
     const Sketch& candidate) const {
   JOINMI_RETURN_NOT_OK(CheckJoinable(train_, candidate));
-  // Probe the prebuilt train index with each candidate key, then emit the
-  // matches in train-entry order so the sample is byte-identical to
-  // JoinSketches on the wrapped sketch.
-  struct Match {
-    uint32_t begin;
-    uint32_t end;
-    const Value* value;
-  };
-  std::vector<Match> matches;
-  matches.reserve(std::min(candidate.entries.size(), groups_.size()));
+  JOINMI_RETURN_NOT_OK(CheckCandidateSketch(candidate));
+  SketchJoinResult result;
+  Merge(candidate, [&result](const Span& span, const Value&) {
+    result.join_size += span.second - span.first;
+    ++result.matched_keys;
+  });
+  FillSample(candidate, result.join_size, &result.sample);
+  return result;
+}
+
+void PreparedTrainSketch::FillSample(const Sketch& candidate,
+                                     size_t join_size,
+                                     PairedSample* sample) const {
+  sample->x.clear();
+  sample->y.clear();
+  sample->x.reserve(join_size);
+  sample->y.reserve(join_size);
+  Merge(candidate, [this, sample](const Span& span, const Value& x) {
+    for (uint32_t i = span.first; i < span.second; ++i) {
+      sample->x.push_back(x);
+      sample->y.push_back(train_.entries[i].value);
+    }
+  });
+}
+
+CandidateScore PreparedTrainSketch::Score(
+    const Sketch& candidate, const std::optional<MIEstimatorKind>& estimator,
+    const MIOptions& options, size_t min_join_size,
+    PairedSample* scratch) const {
+  Status joinable = CheckJoinable(train_, candidate);
+  if (!joinable.ok()) return CandidateScore::Failed(std::move(joinable));
+  CandidateScore score;
+  // First pass sizes the join only: below-cutoff candidates — the common
+  // case at scale, where almost nothing joins — skip without copying a
+  // value or allocating.
   size_t join_size = 0;
-  const SketchEntry* prev = nullptr;
-  for (const SketchEntry& entry : candidate.entries) {
-    // Validate the probe contract — entries strictly ascending by
-    // key_hash — as we go. An unsorted candidate would still *probe*
-    // correctly here, but it violates the builder invariant every other
-    // consumer relies on, so it gets a structured error rather than a
-    // result that other paths would disagree with; a duplicated key would
-    // silently double-count its train group.
-    if (prev != nullptr && entry.key_hash <= prev->key_hash) {
-      if (entry.key_hash == prev->key_hash) {
-        return Status::InvalidArgument(
-            "candidate sketch has duplicate keys; was it built as a train "
-            "sketch?");
-      }
-      return Status::InvalidArgument(
-          "candidate sketch entries are not sorted by key_hash; prepared "
-          "joins require builder-sorted candidates");
-    }
-    prev = &entry;
-    const uint64_t* packed = groups_.Find(entry.key_hash);
-    if (packed == nullptr) continue;
-    const uint32_t begin = static_cast<uint32_t>(*packed >> 32);
-    const uint32_t end = static_cast<uint32_t>(*packed);
-    matches.push_back(Match{begin, end, &entry.value});
-    join_size += end - begin;
+  Merge(candidate, [&join_size](const Span& span, const Value&) {
+    join_size += span.second - span.first;
+  });
+  score.result.join_size = join_size;
+  if (join_size < min_join_size) {
+    score.kind = CandidateScore::Kind::kSkipped;
+    return score;
   }
-  // Candidate keys ascend (checked above) and train entries are sorted, so
-  // group begins were discovered in ascending order already — no sort, and
-  // duplicates were rejected before they could collide here.
-  SketchJoinResult result;
-  result.sample.x.reserve(join_size);
-  result.sample.y.reserve(join_size);
-  for (const Match& match : matches) {
-    for (uint32_t i = match.begin; i < match.end; ++i) {
-      result.sample.x.push_back(*match.value);
-      result.sample.y.push_back(train_.entries[i].value);
-    }
-  }
-  result.join_size = result.sample.size();
-  result.matched_keys = matches.size();
-  return result;
-}
-
-Result<PreparedCandidateSketch> PreparedCandidateSketch::Create(
-    Sketch candidate) {
-  if (candidate.side != SketchSide::kCandidate) {
-    return Status::InvalidArgument(
-        "PreparedCandidateSketch requires a candidate-side sketch");
-  }
-  FlatProbeTable probe(candidate.entries.size());
-  for (uint32_t i = 0; i < candidate.entries.size(); ++i) {
-    if (!probe.Insert(candidate.entries[i].key_hash, i)) {
-      return Status::InvalidArgument(
-          "candidate sketch has duplicate keys; was it built as a train "
-          "sketch?");
-    }
-  }
-  return PreparedCandidateSketch(std::move(candidate), std::move(probe));
-}
-
-Result<SketchJoinResult> PreparedCandidateSketch::Join(
-    const Sketch& train) const {
-  JOINMI_RETURN_NOT_OK(CheckJoinable(train, candidate_));
-  // Same traversal as JoinSketches — train entries in order, probing the
-  // candidate map — so the emitted sample is byte-identical; only the map
-  // build is amortized away.
-  SketchJoinResult result;
-  result.sample.x.reserve(train.entries.size());
-  result.sample.y.reserve(train.entries.size());
-  std::unordered_set<uint64_t> matched;
-  matched.reserve(train.entries.size());
-  for (const SketchEntry& entry : train.entries) {
-    const uint64_t* index = probe_.Find(entry.key_hash);
-    if (index == nullptr) continue;
-    result.sample.x.push_back(candidate_.entries[*index].value);
-    result.sample.y.push_back(entry.value);
-    matched.insert(entry.key_hash);
-  }
-  result.join_size = result.sample.size();
-  result.matched_keys = matched.size();
-  return result;
+  FillSample(candidate, join_size, scratch);
+  auto scored = ScoreSketchJoinSample(*scratch, join_size, estimator,
+                                      options, min_join_size);
+  if (!scored.ok()) return CandidateScore::Failed(scored.status());
+  score.kind = CandidateScore::Kind::kEstimated;
+  score.result = *scored;
+  return score;
 }
 
 Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
@@ -262,23 +267,6 @@ Result<SketchMIResult> EstimateSketchMIAuto(const PreparedTrainSketch& train,
                                             const MIOptions& options,
                                             size_t min_join_size) {
   JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, train.Join(candidate));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, std::nullopt,
-                               options, min_join_size);
-}
-
-Result<SketchMIResult> EstimateSketchMI(
-    const Sketch& train, const PreparedCandidateSketch& candidate,
-    MIEstimatorKind estimator, const MIOptions& options,
-    size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, candidate.Join(train));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, estimator,
-                               options, min_join_size);
-}
-
-Result<SketchMIResult> EstimateSketchMIAuto(
-    const Sketch& train, const PreparedCandidateSketch& candidate,
-    const MIOptions& options, size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, candidate.Join(train));
   return ScoreSketchJoinSample(joined.sample, joined.join_size, std::nullopt,
                                options, min_join_size);
 }

@@ -1,148 +1,30 @@
-// Tests for the flattened probe hot path: FlatProbeTable edge cases and
-// randomized parity against std::unordered_map, Arena alignment / reset /
-// oversized-allocation behavior, the FlatSketchIndex SoA arena, the
-// prepared-join probe contract (unsorted/duplicated candidates fail with a
-// structured error instead of a silently wrong join), and bit-identity of
-// the batched SketchIndex::EvaluateAll against the per-candidate
-// prepared-sketch path.
+// Tests for the candidate-scoring hot path: Arena alignment / reset /
+// oversized-allocation behavior, the probe contract (unsorted, duplicated
+// or train-side candidates fail with a structured error instead of a
+// silently wrong join — at the kernel, at SketchIndex::AddSketch, and when
+// a JMIX or JMPS payload carries one), the kernel's outcome for edge
+// cases, and bit-identity of the batched SketchIndex::EvaluateAll against
+// the per-candidate JoinMIQuery::Estimate path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/random.h"
+#include "src/discovery/paged_shard_index.h"
 #include "src/discovery/sketch_index.h"
-#include "src/sketch/flat_index.h"
-#include "src/sketch/flat_probe_table.h"
+#include "src/sketch/serialize.h"
 #include "src/sketch/sketch_join.h"
+#include "src/storage/paged_shard_file.h"
 #include "src/table/table.h"
 
 namespace joinmi {
 namespace {
-
-// ---------------------------------------------------------- FlatProbeTable
-
-TEST(FlatProbeTableTest, EmptyTableFindsNothing) {
-  FlatProbeTable table;
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.Find(0), nullptr);
-  EXPECT_EQ(table.Find(~uint64_t{0}), nullptr);
-  EXPECT_EQ(table.Find(42), nullptr);
-}
-
-TEST(FlatProbeTableTest, SingleKeyRoundTrip) {
-  FlatProbeTable table;
-  ASSERT_TRUE(table.Insert(12345, 99));
-  EXPECT_EQ(table.size(), 1u);
-  const uint64_t* value = table.Find(12345);
-  ASSERT_NE(value, nullptr);
-  EXPECT_EQ(*value, 99u);
-  EXPECT_EQ(table.Find(12346), nullptr);
-}
-
-TEST(FlatProbeTableTest, ZeroAndAllOnesAreLegalKeys) {
-  // No sentinel key: 0 and ~0 must behave like any other key.
-  FlatProbeTable table;
-  ASSERT_TRUE(table.Insert(0, 1));
-  ASSERT_TRUE(table.Insert(~uint64_t{0}, 2));
-  ASSERT_NE(table.Find(0), nullptr);
-  EXPECT_EQ(*table.Find(0), 1u);
-  ASSERT_NE(table.Find(~uint64_t{0}), nullptr);
-  EXPECT_EQ(*table.Find(~uint64_t{0}), 2u);
-}
-
-TEST(FlatProbeTableTest, DuplicateInsertReturnsFalseAndKeepsFirstValue) {
-  FlatProbeTable table;
-  ASSERT_TRUE(table.Insert(7, 100));
-  EXPECT_FALSE(table.Insert(7, 200));
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(*table.Find(7), 100u);
-}
-
-// Finds `count` distinct keys that all hash to the same bucket of a
-// `buckets`-slot table, forcing the linear-probe chain.
-std::vector<uint64_t> CollidingKeys(size_t buckets, size_t count) {
-  unsigned shift = 64;
-  for (size_t b = buckets; b > 1; b >>= 1) --shift;
-  const size_t target = FlatProbeBucket(1, shift);
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 1; keys.size() < count; ++k) {
-    if (FlatProbeBucket(k, shift) == target) keys.push_back(k);
-  }
-  return keys;
-}
-
-TEST(FlatProbeTableTest, AllKeysCollidingInOneBucketStillResolve) {
-  // Reserve enough that the 3 colliding keys never trigger growth, so the
-  // probe chain is exercised rather than rehashed away.
-  FlatProbeTable table(8);
-  const size_t buckets = table.capacity();
-  const std::vector<uint64_t> keys = CollidingKeys(buckets, 3);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(table.Insert(keys[i], i));
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const uint64_t* value = table.Find(keys[i]);
-    ASSERT_NE(value, nullptr) << "key " << keys[i];
-    EXPECT_EQ(*value, i);
-  }
-  // A key landing in the same (now full) bucket but never inserted must
-  // walk the whole chain and still miss.
-  const std::vector<uint64_t> more = CollidingKeys(buckets, 4);
-  EXPECT_EQ(table.Find(more[3]), nullptr);
-  // Duplicate rejection must survive the collision chain too.
-  EXPECT_FALSE(table.Insert(keys[2], 777));
-}
-
-TEST(FlatProbeTableTest, RandomizedParityWithUnorderedMap) {
-  Rng rng(40412);
-  for (size_t trial = 0; trial < 8; ++trial) {
-    FlatProbeTable table;  // default-sized: growth/rehash exercised
-    std::unordered_map<uint64_t, uint64_t> reference;
-    const size_t n = 1 + rng.NextBounded(2000);
-    for (size_t i = 0; i < n; ++i) {
-      // Narrow key range so duplicate inserts actually occur.
-      const uint64_t key = rng.NextBounded(n * 2);
-      const bool inserted = table.Insert(key, i);
-      const bool ref_inserted = reference.emplace(key, i).second;
-      ASSERT_EQ(inserted, ref_inserted) << "key " << key;
-    }
-    ASSERT_EQ(table.size(), reference.size());
-    for (const auto& [key, value] : reference) {
-      const uint64_t* found = table.Find(key);
-      ASSERT_NE(found, nullptr) << "key " << key;
-      EXPECT_EQ(*found, value);
-    }
-    for (size_t i = 0; i < 200; ++i) {
-      const uint64_t probe = rng.Next64();
-      const uint64_t* found = table.Find(probe);
-      const auto it = reference.find(probe);
-      if (it == reference.end()) {
-        EXPECT_EQ(found, nullptr);
-      } else {
-        ASSERT_NE(found, nullptr);
-        EXPECT_EQ(*found, it->second);
-      }
-    }
-  }
-}
-
-TEST(FlatProbeTableTest, CapacityStaysPowerOfTwoAcrossGrowth) {
-  FlatProbeTable table;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(table.Insert(i * 2654435761u, i));
-    const size_t cap = table.capacity();
-    ASSERT_NE(cap, 0u);
-    ASSERT_EQ(cap & (cap - 1), 0u) << "not a power of two: " << cap;
-    // Load factor invariant: size never exceeds 3/4 of the slots.
-    ASSERT_LE(table.size() * 4, cap * 3);
-  }
-}
 
 // ------------------------------------------------------------------ Arena
 
@@ -235,7 +117,7 @@ TEST(ArenaTest, MoveTransfersOwnership) {
   EXPECT_EQ(p[0], 77u);
 }
 
-// -------------------------------------------------------- FlatSketchIndex
+// ------------------------------------------- prepared-join probe contract
 
 Sketch MakeCandidateSketch(std::vector<std::pair<uint64_t, int64_t>> entries,
                            uint32_t seed = 0) {
@@ -251,79 +133,6 @@ Sketch MakeCandidateSketch(std::vector<std::pair<uint64_t, int64_t>> entries,
   }
   return sketch;
 }
-
-TEST(FlatSketchIndexTest, FindParityWithLinearScan) {
-  Rng rng(90901);
-  FlatSketchIndex flat;
-  std::vector<Sketch> sketches;
-  for (size_t c = 0; c < 20; ++c) {
-    std::vector<std::pair<uint64_t, int64_t>> entries;
-    uint64_t key = rng.NextBounded(50);
-    const size_t len = rng.NextBounded(60);  // sometimes empty
-    for (size_t i = 0; i < len; ++i) {
-      key += 1 + rng.NextBounded(40);  // strictly ascending, gappy
-      entries.push_back({key, static_cast<int64_t>(i)});
-    }
-    Sketch sketch = MakeCandidateSketch(std::move(entries));
-    auto added = flat.AddCandidate(sketch);
-    ASSERT_TRUE(added.ok());
-    ASSERT_EQ(*added, c);
-    sketches.push_back(std::move(sketch));
-  }
-  ASSERT_EQ(flat.num_candidates(), sketches.size());
-  for (size_t c = 0; c < sketches.size(); ++c) {
-    const Sketch& sketch = sketches[c];
-    ASSERT_EQ(flat.extent(c).len, sketch.entries.size());
-    for (size_t i = 0; i < sketch.entries.size(); ++i) {
-      EXPECT_EQ(flat.Find(c, sketch.entries[i].key_hash),
-                static_cast<int64_t>(i));
-      EXPECT_EQ(flat.keys(c)[i], sketch.entries[i].key_hash);
-      EXPECT_EQ(flat.values(c)[i], sketch.entries[i].value);
-    }
-    for (size_t probe = 0; probe < 100; ++probe) {
-      const uint64_t key = rng.Next64();
-      int64_t expected = -1;
-      for (size_t i = 0; i < sketch.entries.size(); ++i) {
-        if (sketch.entries[i].key_hash == key) {
-          expected = static_cast<int64_t>(i);
-          break;
-        }
-      }
-      EXPECT_EQ(flat.Find(c, key), expected);
-    }
-  }
-}
-
-TEST(FlatSketchIndexTest, EmptyCandidateIsSafeToProbe) {
-  FlatSketchIndex flat;
-  auto added = flat.AddCandidate(MakeCandidateSketch({}));
-  ASSERT_TRUE(added.ok());
-  EXPECT_EQ(flat.extent(0).len, 0u);
-  EXPECT_EQ(flat.Find(0, 0), -1);
-  EXPECT_EQ(flat.Find(0, 12345), -1);
-}
-
-TEST(FlatSketchIndexTest, RejectsDuplicateKeysWithoutMutation) {
-  FlatSketchIndex flat;
-  ASSERT_TRUE(flat.AddCandidate(MakeCandidateSketch({{1, 10}, {2, 20}})).ok());
-  const size_t entries_before = flat.total_entries();
-  const size_t slots_before = flat.total_probe_slots();
-  auto bad = flat.AddCandidate(MakeCandidateSketch({{5, 1}, {5, 2}}));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_EQ(flat.num_candidates(), 1u);
-  EXPECT_EQ(flat.total_entries(), entries_before);
-  EXPECT_EQ(flat.total_probe_slots(), slots_before);
-}
-
-TEST(FlatSketchIndexTest, RejectsTrainSideSketches) {
-  FlatSketchIndex flat;
-  Sketch train = MakeCandidateSketch({{1, 10}});
-  train.side = SketchSide::kTrain;
-  EXPECT_FALSE(flat.AddCandidate(train).ok());
-}
-
-// ------------------------------------------- prepared-join probe contract
 
 Sketch MakeTrainSketch(std::vector<std::pair<uint64_t, int64_t>> entries,
                        uint32_t seed = 0) {
@@ -374,6 +183,137 @@ TEST(ProbeContractTest, SortedCandidateStillJoinsIdenticallyToJoinSketches) {
     EXPECT_EQ(fast->sample.x[i], reference->sample.x[i]) << i;
     EXPECT_EQ(fast->sample.y[i], reference->sample.y[i]) << i;
   }
+}
+
+TEST(ProbeContractTest, KernelSkipsAnEmptyCandidate) {
+  auto prepared =
+      PreparedTrainSketch::Create(MakeTrainSketch({{1, 1}, {2, 2}}));
+  ASSERT_TRUE(prepared.ok());
+  const Sketch empty = MakeCandidateSketch({});
+  PairedSample scratch;
+  const CandidateScore score =
+      prepared->Score(empty, MIEstimatorKind::kMLE, {}, 1, &scratch);
+  EXPECT_EQ(score.kind, CandidateScore::Kind::kSkipped);
+  EXPECT_EQ(score.result.join_size, 0u);
+  auto joined = prepared->Join(empty);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(joined->join_size, 0u);
+  EXPECT_EQ(joined->matched_keys, 0u);
+}
+
+TEST(ProbeContractTest, KernelRejectsSeedAndSideMismatches) {
+  auto prepared =
+      PreparedTrainSketch::Create(MakeTrainSketch({{5, 9}}, /*seed=*/3));
+  ASSERT_TRUE(prepared.ok());
+  PairedSample scratch;
+  const Sketch other_seed = MakeCandidateSketch({{5, 1}}, /*seed=*/4);
+  CandidateScore score =
+      prepared->Score(other_seed, MIEstimatorKind::kMLE, {}, 1, &scratch);
+  EXPECT_EQ(score.kind, CandidateScore::Kind::kError);
+  EXPECT_TRUE(score.error.IsInvalidArgument());
+  EXPECT_TRUE(prepared->Join(other_seed).status().IsInvalidArgument());
+  const Sketch wrong_side = MakeTrainSketch({{5, 1}}, /*seed=*/3);
+  score = prepared->Score(wrong_side, MIEstimatorKind::kMLE, {}, 1, &scratch);
+  EXPECT_EQ(score.kind, CandidateScore::Kind::kError);
+  const Sketch same_seed = MakeCandidateSketch({{5, 1}}, /*seed=*/3);
+  auto joined = prepared->Join(same_seed);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->join_size, 1u);
+}
+
+TEST(ProbeContractTest, AddSketchRejectsContractViolations) {
+  SketchIndex index{JoinMIConfig{}};
+  ASSERT_TRUE(
+      index.AddSketch({"ok", "K", "V"}, MakeCandidateSketch({{1, 10}, {2, 20}}))
+          .ok());
+  Status duplicated =
+      index.AddSketch({"dup", "K", "V"}, MakeCandidateSketch({{5, 1}, {5, 2}}));
+  EXPECT_TRUE(duplicated.IsInvalidArgument());
+  EXPECT_NE(duplicated.message().find("duplicate"), std::string::npos);
+  // Reversed entries: before the contract was checked here, the batched
+  // merge skipped such a candidate while the paged path scored it.
+  Status reversed = index.AddSketch(
+      {"reversed", "K", "V"}, MakeCandidateSketch({{9, 1}, {4, 2}, {2, 3}}));
+  EXPECT_TRUE(reversed.IsInvalidArgument());
+  EXPECT_NE(reversed.message().find("not sorted"), std::string::npos);
+  EXPECT_NE(reversed.message().find("reversed"), std::string::npos);
+  EXPECT_TRUE(index.AddSketch({"train", "K", "V"}, MakeTrainSketch({{1, 10}}))
+                  .IsInvalidArgument());
+  EXPECT_EQ(index.size(), 1u);
+}
+
+// A real candidate sketch and the same sketch with its entries reversed,
+// for the byte paths that must refuse it.
+struct ReversedCandidate {
+  JoinMIConfig config;
+  std::shared_ptr<Table> base;
+  Sketch sorted;
+  Sketch reversed;
+};
+
+ReversedCandidate MakeReversedCandidate() {
+  ReversedCandidate out;
+  out.config.sketch_capacity = 64;
+  out.config.estimator = MIEstimatorKind::kMLE;
+  std::vector<std::string> keys;
+  std::vector<int64_t> values;
+  for (size_t i = 0; i < 100; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    values.push_back(static_cast<int64_t>(i % 5));
+  }
+  out.base = *Table::FromColumns({{"K", Column::MakeString(keys)},
+                                  {"Y", Column::MakeInt64(values)}});
+  auto query = *JoinMIQuery::Create(*out.base, "K", "Y", out.config);
+  out.sorted = *query.SketchCandidate(*out.base, "K", "Y");
+  out.reversed = out.sorted;
+  std::reverse(out.reversed.entries.begin(), out.reversed.entries.end());
+  return out;
+}
+
+TEST(UnsortedCandidateTest, IndexBlobCarryingOneFailsToLoadNamingIt) {
+  ReversedCandidate c = MakeReversedCandidate();
+  SketchIndex index(c.config);
+  ASSERT_TRUE(index.AddSketch({"good", "K", "Y"}, c.sorted).ok());
+  ASSERT_TRUE(index.AddSketch({"bad", "K", "Y"}, c.sorted).ok());
+  // Swap the second candidate's sketch bytes for the reversed sketch's —
+  // same length, so the blob stays well-formed.
+  std::string blob = SerializeIndex(index);
+  const std::string sorted_bytes = SerializeSketch(c.sorted);
+  const std::string reversed_bytes = SerializeSketch(c.reversed);
+  ASSERT_EQ(sorted_bytes.size(), reversed_bytes.size());
+  const size_t at = blob.rfind(sorted_bytes);
+  ASSERT_NE(at, std::string::npos);
+  blob.replace(at, sorted_bytes.size(), reversed_bytes);
+  auto loaded = DeserializeIndex(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("candidate 1 of 2"),
+            std::string::npos)
+      << loaded.status();
+  EXPECT_NE(loaded.status().message().find("bad"), std::string::npos)
+      << loaded.status();
+}
+
+TEST(UnsortedCandidateTest, PagedRecordCarryingOneCountsAsAnError) {
+  ReversedCandidate c = MakeReversedCandidate();
+  auto bytes = storage::BuildPagedShardBytes(
+      c.config,
+      {EncodeCandidateRecord({"good", "K", "Y"}, c.sorted),
+       EncodeCandidateRecord({"bad", "K", "Y"}, c.reversed)},
+      256);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  const std::string path = ::testing::TempDir() + "/reversed_candidate.jmps";
+  ASSERT_TRUE(wire::WriteFileBytes(*bytes, path).ok());
+  auto client = PagedShardClient::Open(path, {0, 1});
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto query = *JoinMIQuery::Create(*c.base, "K", "Y", c.config);
+  auto result = (*client)->Search(query, 10, 1);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->num_evaluated, 1u);
+  EXPECT_EQ(result->num_errors, 1u);
+  ASSERT_EQ(result->hits.size(), 1u);
+  EXPECT_EQ(result->hits[0].global_index, 0u);
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------- batched EvaluateAll bit-identity
@@ -432,9 +372,9 @@ TEST(BatchedEvaluateAllTest, MatchesPerCandidatePreparedPathBitExactly) {
     size_t evaluated = 0;
     size_t skipped = 0;
     for (size_t c = 0; c < index.size(); ++c) {
-      // Ground truth: the per-candidate prepared path the batched strip
-      // replaced. Estimates must agree bit-for-bit, not approximately.
-      auto reference = query.Estimate(index.candidates()[c].prepared);
+      // Ground truth: the per-candidate entry point on the stored sketch.
+      // Estimates must agree bit-for-bit, not approximately.
+      auto reference = query.Estimate(index.candidates()[c].sketch());
       if (reference.ok()) {
         ++evaluated;
         ASSERT_TRUE(evaluation->estimates[c].has_value()) << c;

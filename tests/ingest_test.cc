@@ -864,7 +864,6 @@ TEST_F(IngestTest, RouterReloadServesNewEpochAndInvalidatesCache) {
   ASSERT_TRUE((*router)->Reload().ok());
   EXPECT_EQ((*router)->epoch(), 1u);
   EXPECT_EQ((*router)->size(), 8u);
-  EXPECT_EQ((*router)->metrics().CounterValue("router.reloads"), 1u);
   EXPECT_EQ((*router)->metrics().CounterValue("router.reload.count"), 1u);
   EXPECT_EQ((*router)->metrics().CounterValue("router.manifest.epoch"), 1u);
   EXPECT_EQ((*router)->cache_stats().entries, 0u);  // cache invalidated
@@ -879,6 +878,43 @@ TEST_F(IngestTest, RouterReloadServesNewEpochAndInvalidatesCache) {
   const std::string json = (*router)->StatsJson();
   EXPECT_NE(json.find("router.manifest.epoch"), std::string::npos);
   EXPECT_NE(json.find("router.reload.count"), std::string::npos);
+  // One counter per event: the old duplicate name is gone.
+  EXPECT_EQ(json.find("\"router.reloads\""), std::string::npos);
+}
+
+TEST_F(IngestTest, RouterStatsKeepPagedPoolCountersThroughADeltaOverlay) {
+  // Once a publish pins a delta, each paged shard is served through a
+  // DeltaShardClient; the stats snapshot must still reach its pool.
+  ShardBuildOptions paged;
+  paged.format = ShardFileFormat::kPaged;
+  paged.page_size = 256;
+  const size_t base_count = 5;
+  const std::string deployment = BuildDeployment(
+      base_count, 2, ShardPartitionPolicy::kRoundRobin, paged, "paged_stats");
+  RouterOptions options;
+  options.manifest_path = deployment;
+  auto router = Router::Open(options);
+  ASSERT_TRUE(router.ok()) << router.status();
+  ASSERT_TRUE((*router)->Search(*universe_.base, {"K", "Y"}, 3).ok());
+
+  auto coordinator = ingest::IngestCoordinator::Open(deployment);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+  ASSERT_TRUE((*coordinator)->Append(TailRecords(base_count)).ok());
+  ASSERT_TRUE((*coordinator)->Publish().ok());
+  ASSERT_TRUE((*router)->Reload().ok());
+  ASSERT_TRUE((*router)->Search(*universe_.base, {"K", "Y"}, 3).ok());
+
+  // The first snapshot is taken only now, so every pool.* gauge below
+  // must come from the overlay-wrapped shards.
+  const std::string json = (*router)->StatsJson();
+  for (const char* name : {"hits", "misses", "evictions"}) {
+    for (size_t shard = 0; shard < 2; ++shard) {
+      const std::string key = "\"shard." + std::to_string(shard) + ".pool." +
+                              name + "\"";
+      EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+    }
+  }
+  EXPECT_GT((*router)->metrics().CounterValue("shard.0.pool.misses"), 0u);
 }
 
 TEST_F(IngestTest, RouterReloadUnderConcurrentQueriesStaysBitIdentical) {

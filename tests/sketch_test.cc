@@ -783,104 +783,6 @@ TEST(PreparedTrainSketchTest, RejectsDuplicateCandidateKeys) {
   EXPECT_FALSE(prepared.Join(wrong_side).ok());
 }
 
-// --------------------------------------------- PreparedCandidateSketch ---
-
-TEST(PreparedCandidateSketchTest, JoinMatchesJoinSketchesForEveryMethod) {
-  // The symmetric optimization to PreparedTrainSketch: preparing the
-  // candidate side must not change join semantics for any sketch variant.
-  Rng rng(78);
-  std::vector<std::string> train_keys, cand_keys;
-  std::vector<int64_t> train_values, cand_values;
-  for (int i = 0; i < 1500; ++i) {
-    train_keys.push_back("k" + std::to_string(rng.NextBounded(300)));
-    train_values.push_back(static_cast<int64_t>(rng.NextBounded(40)));
-  }
-  for (int i = 0; i < 350; ++i) {
-    cand_keys.push_back("k" + std::to_string(i));
-    cand_values.push_back(static_cast<int64_t>(rng.NextBounded(40)));
-  }
-  auto train = MakeTrain(train_keys, train_values);
-  auto cand = *Table::FromColumns({{"K", Column::MakeString(cand_keys)},
-                                   {"Z", Column::MakeInt64(cand_values)}});
-  for (SketchMethod method : kAllMethods) {
-    auto builder = MakeSketchBuilder(method, Options(96));
-    auto s_train = *builder->SketchTrain(*(*train->GetColumn("K")),
-                                         *(*train->GetColumn("Y")));
-    auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
-                                            *(*cand->GetColumn("Z")),
-                                            AggKind::kAvg);
-    auto plain = *JoinSketches(s_train, s_cand);
-    auto prepared = PreparedCandidateSketch::Create(s_cand);
-    ASSERT_TRUE(prepared.ok()) << SketchMethodToString(method);
-    auto fast = *prepared->Join(s_train);
-    ASSERT_EQ(fast.join_size, plain.join_size) << SketchMethodToString(method);
-    EXPECT_EQ(fast.matched_keys, plain.matched_keys);
-    for (size_t i = 0; i < plain.sample.size(); ++i) {
-      ASSERT_EQ(fast.sample.x[i], plain.sample.x[i])
-          << SketchMethodToString(method) << " pair " << i;
-      ASSERT_EQ(fast.sample.y[i], plain.sample.y[i])
-          << SketchMethodToString(method) << " pair " << i;
-    }
-  }
-}
-
-TEST(PreparedCandidateSketchTest, EstimateMatchesUnpreparedOverloads) {
-  std::vector<std::string> keys;
-  std::vector<int64_t> values;
-  for (int i = 0; i < 600; ++i) {
-    keys.push_back("k" + std::to_string(i % 150));
-    values.push_back(static_cast<int64_t>(i % 6));
-  }
-  auto train = MakeTrain(keys, values);
-  auto cand = *Table::FromColumns(
-      {{"K", Column::MakeString(keys)}, {"Z", Column::MakeInt64(values)}});
-  auto builder = MakeSketchBuilder(SketchMethod::kTupsk, Options(64));
-  auto s_train = *builder->SketchTrain(*(*train->GetColumn("K")),
-                                       *(*train->GetColumn("Y")));
-  auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
-                                          *(*cand->GetColumn("Z")),
-                                          AggKind::kFirst);
-  auto prepared = *PreparedCandidateSketch::Create(s_cand);
-  auto plain = *EstimateSketchMI(s_train, s_cand, MIEstimatorKind::kMLE);
-  auto fast = *EstimateSketchMI(s_train, prepared, MIEstimatorKind::kMLE);
-  EXPECT_EQ(plain.mi, fast.mi);
-  EXPECT_EQ(plain.join_size, fast.join_size);
-  auto plain_auto = *EstimateSketchMIAuto(s_train, s_cand);
-  auto fast_auto = *EstimateSketchMIAuto(s_train, prepared);
-  EXPECT_EQ(plain_auto.mi, fast_auto.mi);
-  EXPECT_EQ(plain_auto.estimator, fast_auto.estimator);
-}
-
-TEST(PreparedCandidateSketchTest, RejectsBadInputs) {
-  // Train-side sketches cannot be prepared as candidates.
-  Sketch train_side;
-  train_side.side = SketchSide::kTrain;
-  EXPECT_FALSE(PreparedCandidateSketch::Create(train_side).ok());
-  // Duplicate keys violate the aggregated-candidate invariant.
-  Sketch dupes;
-  dupes.side = SketchSide::kCandidate;
-  dupes.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  dupes.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{2})});
-  EXPECT_FALSE(PreparedCandidateSketch::Create(dupes).ok());
-  // Seed mismatch at join time fails like JoinSketches does.
-  Sketch cand;
-  cand.side = SketchSide::kCandidate;
-  cand.hash_seed = 3;
-  cand.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  auto prepared = *PreparedCandidateSketch::Create(cand);
-  Sketch train;
-  train.side = SketchSide::kTrain;
-  train.hash_seed = 4;
-  train.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{9})});
-  auto joined = prepared.Join(train);
-  ASSERT_FALSE(joined.ok());
-  EXPECT_TRUE(joined.status().IsInvalidArgument());
-  train.hash_seed = 3;
-  auto ok_join = prepared.Join(train);
-  ASSERT_TRUE(ok_join.ok()) << ok_join.status();
-  EXPECT_EQ(ok_join->join_size, 1u);
-}
-
 TEST(SketchJoinTest, MatchedKeysDistinctEvenForUnsortedTrainSketch) {
   // JoinSketches (unlike the prepared path) accepts train sketches that
   // violate the sorted-by-key-hash invariant, e.g. hand-built ones; the
