@@ -51,28 +51,6 @@ Result<std::vector<std::vector<ShardEndpoint>>> ReadShardEndpoints(
   return shards;
 }
 
-// The deprecated single-endpoint reader (declared in rpc_shard_client.h)
-// is now a projection of the unified one — the duplicated host:port parse
-// loop it used to carry is gone.
-Result<std::vector<ShardEndpoint>> ReadEndpointsFile(
-    const std::string& path) {
-  JOINMI_ASSIGN_OR_RETURN(std::vector<std::vector<ShardEndpoint>> shards,
-                          ReadShardEndpoints(path));
-  std::vector<ShardEndpoint> endpoints;
-  endpoints.reserve(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (shards[i].size() != 1) {
-      return Status::InvalidArgument(
-          path + ": shard " + std::to_string(i) + " lists " +
-          std::to_string(shards[i].size()) +
-          " replicas — this caller expects exactly one endpoint per "
-          "shard; read replicated files with ReadShardEndpoints");
-    }
-    endpoints.push_back(std::move(shards[i][0]));
-  }
-  return endpoints;
-}
-
 // -------------------------------------------------------------- ReplicaSet
 
 ReplicaSet::ReplicaSet(size_t num_replicas, int cooldown_ms)

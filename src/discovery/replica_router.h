@@ -12,8 +12,8 @@
 // (ReplicaRouterOptions::cooldown_ms); while it cools, requests fail over
 // to the next healthy replica in rotation. When the cooldown expires, the
 // next request issues a cheap Health() probe — success returns the
-// replica to rotation (and resets nothing else: its pooled connections
-// re-dial lazily), failure re-arms the cooldown, so a dead replica costs
+// replica to rotation (and resets nothing else: its channels re-dial
+// lazily), failure re-arms the cooldown, so a dead replica costs
 // at most one probe per cooldown period rather than a failed Search
 // attempt per query. If every replica is marked down, the rotation is
 // attempted anyway (last resort — a replica may have returned between
@@ -30,8 +30,8 @@
 // hide real misconfiguration.
 //
 // The endpoints file v2 maps each shard line to N replicas (see
-// ReadReplicaEndpointsFile); v1 single-endpoint files parse unchanged as
-// one replica per shard.
+// ReadShardEndpoints); v1 single-endpoint files parse unchanged as one
+// replica per shard.
 
 #ifndef JOINMI_DISCOVERY_REPLICA_ROUTER_H_
 #define JOINMI_DISCOVERY_REPLICA_ROUTER_H_
@@ -68,13 +68,6 @@ struct ReplicaRouterOptions {
 /// fail with the offending `path:line:` position.
 Result<std::vector<std::vector<ShardEndpoint>>> ReadShardEndpoints(
     const std::string& path);
-
-/// \brief Deprecated: the pre-unification name for ReadShardEndpoints,
-/// kept one release as a thin wrapper.
-inline Result<std::vector<std::vector<ShardEndpoint>>>
-ReadReplicaEndpointsFile(const std::string& path) {
-  return ReadShardEndpoints(path);
-}
 
 /// \brief Health-tracked round-robin selection over one shard's replicas.
 /// Thread-safe; pure bookkeeping (never touches the network) so it is

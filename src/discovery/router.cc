@@ -323,8 +323,7 @@ std::string Router::StatsJson() const {
     const std::string prefix = "shard." + std::to_string(i) + ".";
     const ShardClient& client = index->client(i);
     if (const auto* rpc = dynamic_cast<const RpcShardClient*>(&client)) {
-      registry_.GetCounter(prefix + "rpc.dials")
-          ->Set(rpc->pool().total_dials());
+      registry_.GetCounter(prefix + "rpc.dials")->Set(rpc->total_dials());
       registry_.GetCounter(prefix + "rpc.live_channels")
           ->Set(rpc->live_channels());
       registry_.GetCounter(prefix + "rpc.max_pipelined")
@@ -339,7 +338,7 @@ std::string Router::StatsJson() const {
           ->Set(replicated->num_replicas());
       uint64_t dials = 0;
       for (size_t r = 0; r < replicated->num_replicas(); ++r) {
-        dials += replicated->replica(r).pool().total_dials();
+        dials += replicated->replica(r).total_dials();
       }
       registry_.GetCounter(prefix + "replica.dials")->Set(dials);
     } else if (const PagedShardClient* paged = ingest::PagedBaseOf(client)) {

@@ -12,9 +12,9 @@
 namespace joinmi {
 namespace rpc {
 
-Channel::Channel(net::ConnPool::Lease lease, uint32_t protocol_version,
+Channel::Channel(net::Socket socket, uint32_t protocol_version,
                  int io_timeout_ms, std::atomic<size_t>* pipeline_hwm)
-    : lease_(std::move(lease)),
+    : socket_(std::move(socket)),
       version_(protocol_version),
       io_timeout_ms_(io_timeout_ms),
       pipeline_hwm_(pipeline_hwm) {
@@ -26,14 +26,6 @@ Channel::Channel(net::ConnPool::Lease lease, uint32_t protocol_version,
 Channel::~Channel() {
   stop_reader_.store(true);
   if (reader_.joinable()) reader_.join();
-  // A broken connection must not be parked for reuse; a healthy one goes
-  // back to the pool through the lease destructor.
-  bool discard;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    discard = broken_;
-  }
-  if (discard) lease_.Discard();
 }
 
 bool Channel::broken() const {
@@ -54,7 +46,7 @@ void Channel::MarkBroken(const Status& status) {
 }
 
 void Channel::ReaderLoop() {
-  const int fd = lease_.socket().fd();
+  const int fd = socket_.fd();
   while (!stop_reader_.load()) {
     struct pollfd pfd;
     pfd.fd = fd;
@@ -70,7 +62,7 @@ void Channel::ReaderLoop() {
     }
     // Readable: the blocking RecvFrame finishes promptly (the socket's
     // receive timeout still bounds a peer that stalls mid-frame).
-    auto frame = net::RecvFrame(&lease_.socket());
+    auto frame = net::RecvFrame(&socket_);
     if (!frame.ok()) {
       MarkBroken(frame.status());
       return;
@@ -117,8 +109,8 @@ Result<net::Frame> Channel::CallV2(net::FrameType type,
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     size_t bytes_written = 0;
-    Status sent = net::SendFrameV2(&lease_.socket(), type, id, payload,
-                                   &bytes_written);
+    Status sent =
+        net::SendFrameV2(&socket_, type, id, payload, &bytes_written);
     if (!sent.ok()) {
       // A partial write reached the wire AND corrupted the frame stream;
       // a zero-byte failure is provably un-sent. Either way this channel
@@ -157,16 +149,24 @@ Result<net::Frame> Channel::CallV1(net::FrameType type,
                              broken_status_.message());
     }
   }
+  // TCP accepts a write to a peer that has since closed, so only a read-
+  // side probe tells an idle v1 socket whose server restarted from a live
+  // one. Nothing has been sent yet, so the caller may retry elsewhere.
+  if (socket_.StaleForReuse()) {
+    const Status stale =
+        Status::IOError("connection went stale while idle (peer closed)");
+    MarkBroken(stale);
+    return stale;
+  }
   size_t bytes_written = 0;
-  Status sent =
-      net::SendFrame(&lease_.socket(), type, payload, &bytes_written);
+  Status sent = net::SendFrame(&socket_, type, payload, &bytes_written);
   if (!sent.ok()) {
     if (bytes_written > 0 && reached_wire != nullptr) *reached_wire = true;
     MarkBroken(sent);
     return sent;
   }
   if (reached_wire != nullptr) *reached_wire = true;
-  auto frame = net::RecvFrame(&lease_.socket());
+  auto frame = net::RecvFrame(&socket_);
   if (!frame.ok()) {
     MarkBroken(frame.status());
     return frame.status();
@@ -185,7 +185,10 @@ Status Channel::EnsureSketchUploaded(uint64_t digest,
   // but re-sending the sketch wastes exactly the bytes the cache exists
   // to save).
   std::lock_guard<std::mutex> upload_lock(upload_mutex_);
-  if (uploaded_digests_.count(digest) > 0) return Status::OK();
+  if (std::find(uploaded_digests_.begin(), uploaded_digests_.end(),
+                digest) != uploaded_digests_.end()) {
+    return Status::OK();
+  }
   SketchUploadRequest request;
   request.digest = digest;
   request.train_sketch = bytes;
@@ -211,8 +214,18 @@ Status Channel::EnsureSketchUploaded(uint64_t digest,
                            " for an upload of digest " +
                            std::to_string(digest));
   }
-  uploaded_digests_.insert(digest);
+  uploaded_digests_.push_back(digest);
+  if (uploaded_digests_.size() > kMaxCachedSketches) {
+    uploaded_digests_.pop_front();
+  }
   return Status::OK();
+}
+
+void Channel::ForgetSketch(uint64_t digest) {
+  std::lock_guard<std::mutex> upload_lock(upload_mutex_);
+  uploaded_digests_.erase(std::remove(uploaded_digests_.begin(),
+                                      uploaded_digests_.end(), digest),
+                          uploaded_digests_.end());
 }
 
 ChannelSet::ChannelSet(ChannelFactory factory, size_t max_channels)
@@ -225,7 +238,7 @@ Result<std::shared_ptr<Channel>> ChannelSet::Pick() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     if (closed_) {
-      return Status::IOError("connection pool is closed");
+      return Status::IOError("channel set is closed");
     }
     channels_.erase(
         std::remove_if(channels_.begin(), channels_.end(),
@@ -251,8 +264,9 @@ Result<std::shared_ptr<Channel>> ChannelSet::Pick() {
       --creating_;
       cv_.notify_all();
       if (!created.ok()) return created.status();
+      ++total_dials_;
       if (closed_) {
-        return Status::IOError("connection pool is closed");
+        return Status::IOError("channel set is closed");
       }
       channels_.push_back(*created);
       return std::move(*created);
@@ -275,7 +289,7 @@ void ChannelSet::Close() {
     doomed.swap(channels_);
   }
   cv_.notify_all();
-  // Channel destructors (reader joins, lease returns) run outside the
+  // Channel destructors (reader joins, socket closes) run outside the
   // lock; calls still running keep their own references.
   doomed.clear();
 }
@@ -283,6 +297,11 @@ void ChannelSet::Close() {
 size_t ChannelSet::live_channels() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return channels_.size();
+}
+
+uint64_t ChannelSet::total_dials() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return total_dials_;
 }
 
 }  // namespace rpc

@@ -1,32 +1,33 @@
-// Channel + ChannelSet: the client half of JMRP v2 pipelining.
+// Channel + ChannelSet: the client's one connection layer.
 //
-// A Channel wraps one pooled connection for its whole lifetime (the
-// ConnPool lease is held until the channel dies, so pool instrumentation
-// now gauges live channels rather than per-request leases). Against a v2
-// server the channel runs a dedicated reader thread and a demux map:
-// Call() stamps a fresh request_id, registers a waiter slot, sends under
-// a write mutex, and blocks on its slot — many calls from many threads
-// are simultaneously in flight on ONE connection, and the reader pairs
-// whatever response arrives next with its waiter by id. A waiter that
-// times out abandons its slot (a late response is dropped by id — the
-// channel itself stays healthy); a read or write error breaks the channel
-// and fails every pending waiter with the same IOError. Against a v1
-// server there is no request_id, so Call() serializes send+receive under
-// an exclusive mutex — extra concurrent calls queue, which is exactly the
-// old one-request-per-connection discipline.
+// A Channel owns one handshake-verified socket for its whole lifetime.
+// Against a v2 server the channel runs a dedicated reader thread and a
+// demux map: Call() stamps a fresh request_id, registers a waiter slot,
+// sends under a write mutex, and blocks on its slot — many calls from
+// many threads are simultaneously in flight on ONE connection, and the
+// reader pairs whatever response arrives next with its waiter by id. A
+// waiter that times out abandons its slot (a late response is dropped by
+// id — the channel itself stays healthy); a read or write error breaks
+// the channel and fails every pending waiter with the same IOError.
+// Against a v1 server there is no request_id and no reader, so Call()
+// serializes send+receive under an exclusive mutex and first probes the
+// idle socket (Socket::StaleForReuse): a peer that closed since the last
+// exchange breaks the channel before any byte is sent, so the caller may
+// retry on a fresh one.
 //
 // A Channel also tracks which sketch digests this connection has uploaded
 // (EnsureSketchUploaded is once-per-digest, idempotent server-side), so a
 // query's serialized train sketch crosses the wire once per connection
-// instead of once per request.
+// instead of once per request. It remembers at most
+// rpc::kMaxCachedSketches digests, oldest out first — the same bound and
+// order the server evicts by.
 //
 // ChannelSet owns up to max_channels channels and routes each request to
 // the live channel with the fewest calls in flight, dialing a new channel
-// (through the injected factory, which leases from the pool and thereby
-// inherits its bound and its handshake) only when every existing channel
-// is busy. Broken channels are pruned on the next Pick; calls already
-// running on one keep their shared_ptr until they finish. Close() poisons
-// the set for shutdown.
+// (through the injected factory, which connects and handshakes) only when
+// every existing channel is busy. Broken channels are pruned on the next
+// Pick; calls already running on one keep their shared_ptr until they
+// finish. Close() poisons the set for shutdown.
 
 #ifndef JOINMI_DISCOVERY_RPC_CHANNEL_H_
 #define JOINMI_DISCOVERY_RPC_CHANNEL_H_
@@ -34,18 +35,18 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/net/conn_pool.h"
 #include "src/net/frame.h"
+#include "src/net/socket.h"
 
 namespace joinmi {
 namespace rpc {
@@ -54,12 +55,12 @@ namespace rpc {
 /// v2) or used one-exchange-at-a-time (protocol v1).
 class Channel {
  public:
-  /// \brief Takes the pooled connection for the channel's lifetime.
+  /// \brief Takes the handshaken socket for the channel's lifetime.
   /// `protocol_version` is the handshake-negotiated dialect (1 or 2);
   /// `pipeline_hwm` (optional) receives the high-water mark of calls
   /// simultaneously in flight on this channel — the owning client's
   /// proof of pipelining.
-  Channel(net::ConnPool::Lease lease, uint32_t protocol_version,
+  Channel(net::Socket socket, uint32_t protocol_version,
           int io_timeout_ms, std::atomic<size_t>* pipeline_hwm);
   ~Channel();
 
@@ -76,7 +77,8 @@ class Channel {
   /// request byte left this process — the only signal a retry or
   /// failover policy may act on. IOError failures break the channel
   /// (pending and future calls fail deterministically), EXCEPT a
-  /// response timeout, which abandons only this call.
+  /// response timeout, which abandons only this call. On v1, a socket
+  /// found stale before sending fails the call un-sent.
   Result<net::Frame> Call(net::FrameType type, const std::string& payload,
                           bool* reached_wire = nullptr);
 
@@ -85,6 +87,10 @@ class Channel {
   /// retry on a fresh channel after any failure — the upload is
   /// idempotent by digest.
   Status EnsureSketchUploaded(uint64_t digest, const std::string& bytes);
+
+  /// \brief Forgets that `digest` was uploaded, so the next
+  /// EnsureSketchUploaded sends it again (the server evicted it).
+  void ForgetSketch(uint64_t digest);
 
  private:
   struct Pending {
@@ -101,7 +107,7 @@ class Channel {
   /// Fails every pending waiter and poisons the channel.
   void MarkBroken(const Status& status);
 
-  net::ConnPool::Lease lease_;
+  net::Socket socket_;
   uint32_t version_ = 1;
   int io_timeout_ms_ = 30000;
   std::atomic<size_t>* pipeline_hwm_ = nullptr;
@@ -120,7 +126,7 @@ class Channel {
   std::mutex excl_mutex_;   // v1: serializes whole exchanges
 
   std::mutex upload_mutex_;
-  std::set<uint64_t> uploaded_digests_;
+  std::deque<uint64_t> uploaded_digests_;  // oldest first
 
   std::thread reader_;  // v2 only
 };
@@ -141,8 +147,9 @@ class ChannelSet {
   /// \brief Returns the channel to run one request on: the live channel
   /// with the fewest in-flight calls, or a freshly dialed one when all
   /// are busy and capacity remains. Errors from the factory propagate
-  /// verbatim (dial/handshake failures). After Close(), fails with a
-  /// deterministic IOError.
+  /// verbatim (dial/handshake failures). When no channel exists and
+  /// another thread is mid-dial at capacity, waits for it. After Close(),
+  /// fails with a deterministic IOError without calling the factory.
   Result<std::shared_ptr<Channel>> Pick();
 
   /// \brief Poisons the set and drops its channel references; in-flight
@@ -150,6 +157,9 @@ class ChannelSet {
   void Close();
 
   size_t live_channels() const;
+  /// \brief Successful factory calls since construction (reuse keeps
+  /// this flat).
+  uint64_t total_dials() const;
 
  private:
   ChannelFactory factory_;
@@ -159,6 +169,7 @@ class ChannelSet {
   std::condition_variable cv_;
   std::vector<std::shared_ptr<Channel>> channels_;
   size_t creating_ = 0;
+  uint64_t total_dials_ = 0;
   bool closed_ = false;
 };
 

@@ -34,6 +34,7 @@
 #ifndef JOINMI_DISCOVERY_RPC_MESSAGES_H_
 #define JOINMI_DISCOVERY_RPC_MESSAGES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -115,6 +116,11 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& payload);
 
 // -------------------------------------------------- Sketch upload (v2)
 
+/// \brief Uploaded sketches a server caches per connection. An upload of
+/// a new digest past the bound evicts the connection's oldest; client
+/// channels remember the same number, oldest out first.
+constexpr size_t kMaxCachedSketches = 8;
+
 struct SketchUploadRequest {
   /// wire::Checksum64 of `train_sketch` — the cache key. The server
   /// recomputes and rejects a mismatch, so a digest can never alias a
@@ -160,7 +166,8 @@ Result<BatchSearchRequest> DecodeBatchSearchRequest(
     const std::string& payload);
 
 struct BatchSearchResponse {
-  /// Batch-level verdict (unknown digest, decode trouble). When OK,
+  /// Batch-level verdict (decode trouble; KeyError for a digest not
+  /// cached on this connection, refused before evaluating). When OK,
   /// `responses` pairs with the request's variants by position, each
   /// carrying its own per-variant Status.
   Status status;

@@ -50,9 +50,6 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec) {
   return endpoint;
 }
 
-// ReadEndpointsFile is now a deprecated projection of ReadShardEndpoints;
-// both live in replica_router.cc so the parse loop exists exactly once.
-
 Status ValidateServingManifest(const ShardManifest& manifest,
                                size_t num_entries) {
   if (!manifest.config.has_value()) {
@@ -80,31 +77,20 @@ RpcShardClient::RpcShardClient(ShardEndpoint endpoint,
       config_(std::move(expected_config)),
       num_candidates_(expected_candidates),
       options_(options) {
-  net::ConnPoolOptions pool_options;
-  pool_options.max_connections = options_.pool_size;
-  // The dialer runs the full handshake, so every connection the pool ever
-  // hands out has already proven it serves this manifest entry.
-  pool_ = std::make_unique<net::ConnPool>(
-      [this] { return DialAndHandshake(); }, pool_options);
+  // The factory runs the full handshake, so every channel ever built has
+  // already proven its server serves this manifest entry.
   channels_ = std::make_unique<rpc::ChannelSet>(
       [this]() -> Result<std::shared_ptr<rpc::Channel>> {
-        JOINMI_ASSIGN_OR_RETURN(net::ConnPool::Lease lease,
-                                pool_->Acquire());
-        // The Acquire either reused a handshaken connection or dialed a
-        // fresh one — either way server_version_ reflects this server.
-        uint32_t version = server_version_.load();
-        if (version == 0) version = 1;
-        return std::make_shared<rpc::Channel>(std::move(lease), version,
+        JOINMI_ASSIGN_OR_RETURN(auto dialed, DialAndHandshake());
+        return std::make_shared<rpc::Channel>(std::move(dialed.first),
+                                              dialed.second,
                                               options_.io_timeout_ms,
                                               &pipeline_hwm_);
       },
       options_.pool_size);
 }
 
-RpcShardClient::~RpcShardClient() {
-  channels_->Close();
-  pool_->Close();
-}
+RpcShardClient::~RpcShardClient() { channels_->Close(); }
 
 Result<std::unique_ptr<RpcShardClient>> RpcShardClient::Create(
     ShardEndpoint endpoint, JoinMIConfig expected_config,
@@ -117,16 +103,16 @@ Result<std::unique_ptr<RpcShardClient>> RpcShardClient::Create(
   // InvalidArgument) is a deployment error and fails Create; an
   // unreachable one (IOError) is an outage the router must survive, so
   // the client is returned disconnected and re-dials per request. On
-  // success the lease's destructor parks the verified connection in the
-  // pool, where the first channel adopts it.
-  auto lease = client->pool_->Acquire();
-  if (!lease.ok() && lease.status().IsInvalidArgument()) {
-    return lease.status();
+  // success the channel stays in the set for the first query to use.
+  auto channel = client->channels_->Pick();
+  if (!channel.ok() && channel.status().IsInvalidArgument()) {
+    return channel.status();
   }
   return client;
 }
 
-Result<net::Socket> RpcShardClient::DialAndHandshake() const {
+Result<std::pair<net::Socket, uint32_t>> RpcShardClient::DialAndHandshake()
+    const {
   auto connected = net::Socket::Connect(endpoint_.host, endpoint_.port,
                                         options_.connect_timeout_ms);
   if (!connected.ok()) {
@@ -179,9 +165,10 @@ Result<net::Socket> RpcShardClient::DialAndHandshake() const {
   }
   // Belt and braces: never speak above what we offered, whatever the
   // server claims.
-  server_version_.store(
-      std::min<uint32_t>(handshake.protocol_version, hello.max_version));
-  return socket;
+  const uint32_t version = std::max<uint32_t>(
+      1, std::min<uint32_t>(handshake.protocol_version, hello.max_version));
+  server_version_.store(version);
+  return std::make_pair(std::move(socket), version);
 }
 
 Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
@@ -277,8 +264,6 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
     // batch.
     const std::string& sketch_bytes = query.SerializedTrainSketch();
     const uint64_t digest = wire::Checksum64(sketch_bytes);
-    JOINMI_RETURN_NOT_OK(
-        channel.EnsureSketchUploaded(digest, sketch_bytes));
     rpc::BatchSearchRequest request;
     request.sketch_digest = digest;
     request.variants.reserve(variants.size());
@@ -288,31 +273,41 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
       wire_variant.min_join_size = variant.min_join_size;
       request.variants.push_back(wire_variant);
     }
-    auto frame = channel.Call(net::FrameType::kBatchSearchRequest,
-                              rpc::EncodeBatchSearchRequest(request),
-                              reached_wire);
-    if (!frame.ok()) {
-      if (*reached_wire) {
-        return Status::IOError("no response from shard server " +
-                               endpoint_.ToString() + " (not retried): " +
-                               frame.status().message());
-      }
-      return frame.status();
-    }
-    if (frame->type == net::FrameType::kError) {
-      Status server_error;
+    const std::string payload = rpc::EncodeBatchSearchRequest(request);
+    rpc::BatchSearchResponse response;
+    for (int send = 0; send < 2; ++send) {
       JOINMI_RETURN_NOT_OK(
-          rpc::DecodeErrorPayload(frame->payload, &server_error));
-      return server_error;
+          channel.EnsureSketchUploaded(digest, sketch_bytes));
+      auto frame = channel.Call(net::FrameType::kBatchSearchRequest,
+                                payload, reached_wire);
+      if (!frame.ok()) {
+        if (*reached_wire) {
+          return Status::IOError("no response from shard server " +
+                                 endpoint_.ToString() + " (not retried): " +
+                                 frame.status().message());
+        }
+        return frame.status();
+      }
+      if (frame->type == net::FrameType::kError) {
+        Status server_error;
+        JOINMI_RETURN_NOT_OK(
+            rpc::DecodeErrorPayload(frame->payload, &server_error));
+        return server_error;
+      }
+      if (frame->type != net::FrameType::kBatchSearchResponse) {
+        return Status::IOError(
+            "shard server " + endpoint_.ToString() +
+            " answered a batch search with a " +
+            std::string(net::FrameTypeToString(frame->type)) + " frame");
+      }
+      JOINMI_ASSIGN_OR_RETURN(response,
+                              rpc::DecodeBatchSearchResponse(frame->payload));
+      // KeyError: newer uploads on this connection evicted the sketch
+      // server-side. The server refused before evaluating anything, so
+      // re-uploading and resending cannot run the search twice.
+      if (!response.status.IsKeyError()) break;
+      channel.ForgetSketch(digest);
     }
-    if (frame->type != net::FrameType::kBatchSearchResponse) {
-      return Status::IOError(
-          "shard server " + endpoint_.ToString() +
-          " answered a batch search with a " +
-          std::string(net::FrameTypeToString(frame->type)) + " frame");
-    }
-    JOINMI_ASSIGN_OR_RETURN(rpc::BatchSearchResponse response,
-                            rpc::DecodeBatchSearchResponse(frame->payload));
     JOINMI_RETURN_NOT_OK(response.status);
     if (response.responses.size() != variants.size()) {
       return Status::IOError(

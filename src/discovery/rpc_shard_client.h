@@ -3,16 +3,16 @@
 // host:port endpoints behave exactly like one assembled from local shard
 // files — same methods, same merged rankings, byte for byte.
 //
-// Connection model: a bounded ConnPool of lazily-dialed TCP connections
-// per client (RpcClientOptions::pool_size); every dial runs the JMRP
-// handshake (negotiating the protocol version) before the socket enters
-// the pool, and idle connections are staleness-probed before reuse. Each
-// pooled connection is wrapped in an rpc::Channel for its lifetime.
-// Against a v2 server a channel PIPELINES: concurrent Search calls stamp
-// distinct request ids, share one connection, and are demultiplexed as
-// responses arrive in any order — pool_size bounds connections, not
-// in-flight requests. Against a v1 server a channel serializes exchanges,
-// reproducing the historical one-request-per-connection discipline.
+// Connection model: an rpc::ChannelSet of at most
+// RpcClientOptions::pool_size channels, each owning one TCP connection
+// that was dialed and handshaken (negotiating the protocol version)
+// before the channel was built. Against a v2 server a channel PIPELINES:
+// concurrent Search calls stamp distinct request ids, share one
+// connection, and are demultiplexed as responses arrive in any order —
+// pool_size bounds connections, not in-flight requests; a v2 channel
+// notices a closed peer through its reader thread. Against a v1 server a
+// channel serializes exchanges and probes its idle socket before each
+// send, so a restarted server costs one re-dial, not a failed request.
 // Requests route to the channel with the fewest calls in flight; a new
 // connection is dialed only when every existing channel is busy and
 // capacity remains.
@@ -21,14 +21,18 @@
 // query's serialized train sketch is cached server-side (keyed by its
 // Checksum64 digest, uploaded once per connection) and then send
 // digest-only batch requests — a q-variant batch ships the sketch bytes
-// at most once, not q times.
+// at most once, not q times. The server keeps the newest
+// rpc::kMaxCachedSketches per connection; a batch whose digest it has
+// evicted is refused with KeyError before evaluating, and the client
+// re-uploads and resends it once.
 //
-// Creating a client against a *down* server succeeds (the router must be
-// able to assemble and serve degraded while a shard is being restarted);
-// the outage surfaces per-request. A *reachable* server that fails the
-// handshake — wrong JoinMIConfig or candidate count for the manifest
-// entry — fails Create loudly instead: that is a deployment
-// misconfiguration, not an outage.
+// Create dials the first channel eagerly; that handshake connection is
+// the one the first query uses. Creating a client against a *down* server
+// still succeeds (the router must be able to assemble and serve degraded
+// while a shard is being restarted); the outage surfaces per-request. A
+// *reachable* server that fails the handshake — wrong JoinMIConfig or
+// candidate count for the manifest entry — fails Create loudly instead:
+// that is a deployment misconfiguration, not an outage.
 //
 // Retry policy: a request is retried (bounded by
 // RpcClientOptions::max_attempts) only while it is provably not yet on
@@ -48,12 +52,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/discovery/rpc_channel.h"
 #include "src/discovery/rpc_messages.h"
 #include "src/discovery/sharded_index.h"
-#include "src/net/conn_pool.h"
 #include "src/net/frame.h"
 #include "src/net/socket.h"
 
@@ -73,14 +77,6 @@ struct ShardEndpoint {
 /// colon, so bracketless IPv6 hosts are not supported — use names or
 /// IPv4 addresses).
 Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec);
-
-/// \brief Deprecated: the single-endpoint-per-shard projection of
-/// ReadShardEndpoints (replica_router.h), kept one release. It reads the
-/// same file format but rejects any line listing several replicas — new
-/// code should read replica sets with ReadShardEndpoints and treat a
-/// one-endpoint line as a one-replica set.
-Result<std::vector<ShardEndpoint>> ReadEndpointsFile(
-    const std::string& path);
 
 /// \brief Client-side networking knobs.
 struct RpcClientOptions {
@@ -114,19 +110,19 @@ class RpcShardClient : public ShardClient {
  public:
   /// \brief Builds a client for `endpoint`, expecting the server to hold
   /// `expected_candidates` candidates sketched under `expected_config`
-  /// (both from the manifest). Dials eagerly to surface handshake
-  /// mismatches at assembly time, but an unreachable server is tolerated —
-  /// see the connection model above.
+  /// (both from the manifest). Dials the first channel eagerly to surface
+  /// handshake mismatches at assembly time, but an unreachable server is
+  /// tolerated — see the connection model above.
   static Result<std::unique_ptr<RpcShardClient>> Create(
       ShardEndpoint endpoint, JoinMIConfig expected_config,
       uint64_t expected_candidates, RpcClientOptions options = {});
 
-  /// Closes the channel set and the pool so any thread blocked on either
-  /// wakes with a deterministic error before members are torn down.
+  /// Closes the channel set so any thread waiting in it wakes with a
+  /// deterministic error before members are torn down.
   ~RpcShardClient() override;
 
-  // Pinned in place: the pool's dialer captures `this`, so a moved-from
-  // client would leave the pool dialing through a dangling pointer.
+  // Pinned in place: the channel factory captures `this`, so a moved-from
+  // client would leave the set dialing through a dangling pointer.
   // Create hands out unique_ptrs precisely so nobody needs to move the
   // object itself.
   RpcShardClient(const RpcShardClient&) = delete;
@@ -188,7 +184,7 @@ class RpcShardClient : public ShardClient {
   /// On OK the response reports the epoch and candidate count now
   /// serving. NOTE: after a successful reload the server's candidate
   /// count may no longer match the manifest this client was created
-  /// from — existing pooled connections keep working, but fresh dials
+  /// from — existing connections keep working, but fresh dials
   /// re-verify against the stale expectation. Callers that keep
   /// searching should rebuild their clients from the new manifest (the
   /// router's Reload() does exactly that).
@@ -196,11 +192,11 @@ class RpcShardClient : public ShardClient {
 
   const ShardEndpoint& endpoint() const { return endpoint_; }
 
-  /// \brief The connection pool, exposed for instrumentation: tests and
-  /// benchmarks read max_in_flight()/total_dials() to prove connection
-  /// reuse (or the absence of over-dialing) rather than inferring it from
-  /// timing. With channels, in_flight gauges live channels, not requests.
-  const net::ConnPool& pool() const { return *pool_; }
+  /// \brief Connections successfully dialed and handshaken since
+  /// construction — tests and the router's stats read it to prove
+  /// connection reuse (or the absence of over-dialing) rather than
+  /// inferring it from timing.
+  uint64_t total_dials() const { return channels_->total_dials(); }
 
   /// \brief Protocol version negotiated with the server by the most
   /// recent handshake; 0 until any dial succeeded.
@@ -210,7 +206,7 @@ class RpcShardClient : public ShardClient {
   /// connection — >= 2 proves pipelining actually happened.
   size_t max_pipelined() const { return pipeline_hwm_.load(); }
 
-  /// \brief Channels currently alive (each holds one pooled connection).
+  /// \brief Channels currently alive (each owns one connection).
   size_t live_channels() const { return channels_->live_channels(); }
 
   /// \brief ShardClientFactory dialing `endpoints[shard]` for each shard.
@@ -223,13 +219,15 @@ class RpcShardClient : public ShardClient {
   RpcShardClient(ShardEndpoint endpoint, JoinMIConfig expected_config,
                  uint64_t expected_candidates, RpcClientOptions options);
 
-  /// \brief The pool's dialer: TCP connect + JMRP handshake (version
-  /// negotiation included), verifying the server against the
-  /// manifest-expected config and candidate count.
-  Result<net::Socket> DialAndHandshake() const;
+  /// \brief The channel factory's dial: TCP connect + JMRP handshake,
+  /// verifying the server against the manifest-expected config and
+  /// candidate count. Returns the socket and its negotiated version.
+  Result<std::pair<net::Socket, uint32_t>> DialAndHandshake() const;
 
   /// \brief One attempt of a variant batch on `channel`; dispatches to
-  /// the batch frame (v2) or a sequential per-variant loop (v1).
+  /// the batch frame (v2) or a sequential per-variant loop (v1). A v2
+  /// batch the server refuses with KeyError (its cached copy of the
+  /// sketch was evicted) is re-uploaded and resent once.
   Result<std::vector<ShardSearchResult>> RunVariants(
       rpc::Channel& channel, const JoinMIQuery& query,
       const std::vector<ShardSearchVariant>& variants,
@@ -240,10 +238,9 @@ class RpcShardClient : public ShardClient {
   uint64_t num_candidates_ = 0;
   RpcClientOptions options_;
 
-  // Leases one connection per live channel; pool_size bounds the client's
-  // sockets against this shard. unique_ptr because the pool captures
-  // `this` in its dialer (stable for a heap-allocated client).
-  mutable std::unique_ptr<net::ConnPool> pool_;
+  // One connection per live channel; pool_size bounds the client's
+  // sockets against this shard. unique_ptr because the set captures
+  // `this` in its factory (stable for a heap-allocated client).
   mutable std::unique_ptr<rpc::ChannelSet> channels_;
   // 0 = no dial has succeeded yet; otherwise the latest negotiated
   // version. All connections of one client negotiate against the same

@@ -10,8 +10,7 @@
 //     query (no index needed);
 //   - the Searchable overload, which drives ANY indexed target —
 //     SketchIndex, ShardedSketchIndex, or discovery::Router — through one
-//     interface. The historical per-type overloads forward here inline and
-//     are deprecated.
+//     interface.
 
 #ifndef JOINMI_DISCOVERY_SEARCH_H_
 #define JOINMI_DISCOVERY_SEARCH_H_
@@ -70,29 +69,6 @@ Result<TopKSearchResult> TopKJoinMISearch(
     const Table& base_table, const SearchSpec& spec, const Searchable& target,
     size_t k, size_t num_threads = 0,
     ShardQueryMode mode = ShardQueryMode::kStrict);
-
-/// \brief Deprecated: the SketchIndex-specific overload, kept one release
-/// as an inline forwarder. Use the Searchable overload above.
-inline Result<TopKSearchResult> TopKJoinMISearch(const Table& base_table,
-                                                 const SearchSpec& spec,
-                                                 const SketchIndex& index,
-                                                 size_t k,
-                                                 size_t num_threads = 0) {
-  return TopKJoinMISearch(base_table, spec,
-                          static_cast<const Searchable&>(index), k,
-                          num_threads, ShardQueryMode::kStrict);
-}
-
-/// \brief Deprecated: the ShardedSketchIndex-specific overload, kept one
-/// release as an inline forwarder. Use the Searchable overload above.
-inline Result<TopKSearchResult> TopKJoinMISearch(
-    const Table& base_table, const SearchSpec& spec,
-    const ShardedSketchIndex& index, size_t k, size_t num_threads = 0,
-    ShardQueryMode mode = ShardQueryMode::kStrict) {
-  return TopKJoinMISearch(base_table, spec,
-                          static_cast<const Searchable&>(index), k,
-                          num_threads, mode);
-}
 
 }  // namespace joinmi
 

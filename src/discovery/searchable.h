@@ -6,8 +6,7 @@
 // JoinMIConfig its candidates were sketched under plus one SearchQuery
 // method over an already-sketched query, and the single Searchable-based
 // TopKJoinMISearch in search.h drives any of them. SketchIndex,
-// ShardedSketchIndex, and Router all implement it; the legacy per-type
-// overloads survive as inline forwarders (search.h) for one release.
+// ShardedSketchIndex, and Router all implement it.
 //
 // This header also owns the result/spec types those implementations share
 // (previously split between search.h and sharded_index.h), so the

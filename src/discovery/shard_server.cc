@@ -385,15 +385,14 @@ std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
                             DeserializeSketch(request.train_sketch));
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto& cache = sketch_cache_[conn];
-    if (cache.count(request.digest) > 0) return Status::OK();  // idempotent
-    if (cache.size() >= kMaxCachedSketches) {
-      return Status::InvalidArgument(
-          "connection sketch cache is full (" +
-          std::to_string(kMaxCachedSketches) +
-          " sketches); open a new connection for new queries");
+    for (const auto& entry : cache) {
+      if (entry.first == request.digest) return Status::OK();  // idempotent
     }
-    cache.emplace(request.digest,
-                  std::make_shared<const Sketch>(std::move(sketch)));
+    // Oldest out: a batch still in flight on the evicted digest is
+    // refused with KeyError, and its client re-uploads and resends it.
+    if (cache.size() >= rpc::kMaxCachedSketches) cache.erase(cache.begin());
+    cache.emplace_back(request.digest,
+                       std::make_shared<const Sketch>(std::move(sketch)));
     return Status::OK();
   };
   response.status = run();
@@ -412,15 +411,16 @@ std::string ShardServer::HandleBatchSearch(net::EventLoop::ConnId conn,
       std::lock_guard<std::mutex> lock(cache_mutex_);
       auto conn_cache = sketch_cache_.find(conn);
       if (conn_cache != sketch_cache_.end()) {
-        auto entry = conn_cache->second.find(request.sketch_digest);
-        if (entry != conn_cache->second.end()) sketch = entry->second;
+        for (const auto& entry : conn_cache->second) {
+          if (entry.first == request.sketch_digest) sketch = entry.second;
+        }
       }
     }
     if (sketch == nullptr) {
-      return Status::InvalidArgument(
-          "batch search names sketch digest " +
-          std::to_string(request.sketch_digest) +
-          " which was never uploaded on this connection");
+      return Status::KeyError("batch search names sketch digest " +
+                              std::to_string(request.sketch_digest) +
+                              " which is not cached on this connection "
+                              "(never uploaded, or evicted)");
     }
     response.responses.reserve(request.variants.size());
     for (const rpc::BatchSearchVariant& variant : request.variants) {

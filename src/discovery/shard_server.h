@@ -20,9 +20,12 @@
 // Sketch cache: a v2 client uploads its serialized train sketch once
 // (keyed by wire::Checksum64 digest, recomputed server-side) and then
 // sends digest-only batch requests. The cache is strictly per-connection
-// — entries die with the connection, at most kMaxCachedSketches live per
-// connection — so one router can never read or evict another's sketch and
-// a dead client leaks nothing.
+// — entries die with the connection, and an upload past
+// rpc::kMaxCachedSketches evicts that connection's oldest — so one router
+// can never read or evict another's sketch and a dead client leaks
+// nothing. A batch naming an evicted (or never uploaded) digest is
+// refused with KeyError before evaluating; the client re-uploads and
+// resends it.
 //
 // This class is the in-process embedding (tests, benchmarks host real
 // socket servers without fork/exec); tools/shard_server.cc is the
@@ -33,11 +36,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/admission.h"
 #include "src/common/metrics.h"
@@ -85,11 +89,6 @@ struct ShardServerOptions {
 
 class ShardServer {
  public:
-  /// Per-connection bound on cached sketches; an upload past the bound is
-  /// rejected (deterministically — eviction could invalidate a pipelined
-  /// batch already in flight).
-  static constexpr size_t kMaxCachedSketches = 8;
-
   /// \brief Loads shard `shard` of the deployment at `manifest_ref` — a
   /// manifest file, a CURRENT pointer file, or a deployment directory
   /// (resolved through ingest::ResolveManifestPath, so the server follows
@@ -255,12 +254,14 @@ class ShardServer {
   std::atomic<bool> started_{false};
   std::once_flag stop_once_;
 
-  // Per-connection uploaded-sketch cache, digest-keyed. shared_ptr lets a
-  // batch evaluation hold its sketch outside the lock while the loop
-  // thread erases the connection's entry.
+  // Per-connection uploaded-sketch cache: (digest, sketch) pairs, oldest
+  // first. shared_ptr lets a batch evaluation hold its sketch outside the
+  // lock while an upload evicts it or the loop thread erases the
+  // connection's entry.
   std::mutex cache_mutex_;
-  std::unordered_map<net::EventLoop::ConnId,
-                     std::map<uint64_t, std::shared_ptr<const Sketch>>>
+  std::unordered_map<
+      net::EventLoop::ConnId,
+      std::vector<std::pair<uint64_t, std::shared_ptr<const Sketch>>>>
       sketch_cache_;
 };
 

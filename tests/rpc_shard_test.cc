@@ -8,14 +8,17 @@
 // top-k with the outage recorded in shard_failures.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -216,21 +219,6 @@ TEST(EndpointsFileTest, MalformedLineReportsItsLineNumber) {
       std::filesystem::path(path).parent_path().string());
 }
 
-TEST(EndpointsFileTest, DeprecatedFlatReaderRejectsReplicaLines) {
-  // The deprecated single-endpoint projection must refuse a replicated
-  // file and point callers at the unified reader by name.
-  const std::string path = WriteEndpointsFixture(
-      "v2line", "127.0.0.1:7001\n127.0.0.1:7002, 127.0.0.1:7003\n");
-  auto endpoints = ReadEndpointsFile(path);
-  ASSERT_FALSE(endpoints.ok());
-  EXPECT_TRUE(endpoints.status().IsInvalidArgument()) << endpoints.status();
-  EXPECT_NE(endpoints.status().message().find("ReadShardEndpoints"),
-            std::string::npos)
-      << endpoints.status();
-  std::filesystem::remove_all(
-      std::filesystem::path(path).parent_path().string());
-}
-
 // ---------------------------------------------------- Rank agreement gate
 
 TEST(RpcShardTest, RpcRankingsBitIdenticalToLocalForEveryKPolicyThreads) {
@@ -393,14 +381,14 @@ TEST(RpcShardTest, ConcurrentRouterThreadsMultiplexOneShardViaThePool) {
     ExpectBitIdentical(*expected, results[i]);
     EXPECT_TRUE(results[i].shard_failures.empty());
   }
-  // The acceptance gate: pool instrumentation proves at least two
-  // requests were in flight to the single shard at the same instant —
-  // the old one-socket client could never exceed 1 here.
-  EXPECT_GE(client->pool().max_in_flight(), 2u)
-      << "8 threads x 4 queries never overlapped on the shard connection "
-         "pool";
-  EXPECT_LE(client->pool().max_in_flight(), options.pool_size);
-  EXPECT_LE(client->pool().total_dials(), options.pool_size);
+  // The acceptance gate: a second connection is dialed only while every
+  // existing channel is busy, so two dials prove at least two requests
+  // were in flight to the single shard at the same instant — the old
+  // one-socket client could never exceed 1 here.
+  EXPECT_GE(client->total_dials(), 2u)
+      << "8 threads x 4 queries never overlapped on the shard connections";
+  EXPECT_LE(client->live_channels(), options.pool_size);
+  EXPECT_LE(client->total_dials(), options.pool_size);
 }
 
 TEST(RpcShardTest, PoolOfOneBlocksConcurrentQueriesInsteadOfOverdialing) {
@@ -443,11 +431,11 @@ TEST(RpcShardTest, PoolOfOneBlocksConcurrentQueriesInsteadOfOverdialing) {
   for (size_t t = 0; t < num_threads; ++t) {
     ASSERT_TRUE(statuses[t].ok()) << "thread " << t << ": " << statuses[t];
   }
-  // Leases blocked rather than over-dialed: never more than one in
-  // flight, exactly one connection ever dialed (Create's eager handshake
-  // connection, reused by all 16 queries)...
-  EXPECT_EQ(client->pool().max_in_flight(), 1u);
-  EXPECT_EQ(client->pool().total_dials(), 1u);
+  // Shared rather than over-dialed: one live channel, exactly one
+  // connection ever dialed (Create's eager handshake connection, reused
+  // by all 16 queries)...
+  EXPECT_EQ(client->live_channels(), 1u);
+  EXPECT_EQ(client->total_dials(), 1u);
   // ...which the server confirms independently: one handshake ever, and
   // every search accounted for on that single connection (the handshake
   // itself no longer counts as a request).
@@ -567,49 +555,54 @@ TEST(RpcShardTest, KilledShardFailsStrictAndDegradesGracefully) {
 TEST(RpcShardTest, RestartedServerHealsCachedConnectionsTransparently) {
   // Regression: a client that already used its connection, whose server
   // then cleanly restarts, must answer the very next strict query — the
-  // stale cached connection accepts the send (TCP half-close), so only
-  // the pre-send staleness probe can keep the first post-restart request
-  // from failing spuriously.
+  // stale connection accepts the send (TCP half-close), so a v1 channel
+  // must probe it before sending and a v2 channel must have noticed the
+  // hangup through its reader; either way the retry dials a fresh one.
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
-  Deployment deployment;
-  StartDeployment(index, 2, ShardPartitionPolicy::kRoundRobin, "restart",
-                  &deployment);
-  auto remote = ShardedSketchIndex::Load(
-      deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
-  ASSERT_TRUE(remote.ok()) << remote.status();
-  auto query =
-      JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
-  ASSERT_TRUE(query.ok());
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("max_protocol_version " + std::to_string(version));
+    Deployment deployment;
+    StartDeployment(index, 2, ShardPartitionPolicy::kRoundRobin,
+                    "restart_v" + std::to_string(version), &deployment);
+    RpcClientOptions options = FastTimeouts();
+    options.max_protocol_version = version;
+    auto remote = ShardedSketchIndex::Load(
+        deployment.manifest_path,
+        RpcShardClient::Factory(deployment.endpoints, options));
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    auto query =
+        JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
+    ASSERT_TRUE(query.ok());
 
-  auto before = remote->Search(*query, 3, 1);
-  ASSERT_TRUE(before.ok()) << before.status();
+    auto before = remote->Search(*query, 3, 1);
+    ASSERT_TRUE(before.ok()) << before.status();
 
-  // Restart every server on its old port; the clients' cached
-  // connections all go stale at once.
-  for (size_t s = 0; s < deployment.servers.size(); ++s) {
-    const uint16_t port = deployment.endpoints[s].port;
-    deployment.servers[s]->Stop();
-    ShardServerOptions options;
-    options.num_workers = 2;
-    options.port = port;
-    auto revived =
-        ShardServer::Create(deployment.manifest_path, s, options);
-    ASSERT_TRUE(revived.ok()) << revived.status();
-    ASSERT_TRUE((*revived)->Start().ok());
-    deployment.servers[s] = std::move(*revived);
-  }
+    // Restart every server on its old port; the clients' cached
+    // connections all go stale at once.
+    for (size_t s = 0; s < deployment.servers.size(); ++s) {
+      const uint16_t port = deployment.endpoints[s].port;
+      deployment.servers[s]->Stop();
+      ShardServerOptions server_options;
+      server_options.num_workers = 2;
+      server_options.port = port;
+      auto revived =
+          ShardServer::Create(deployment.manifest_path, s, server_options);
+      ASSERT_TRUE(revived.ok()) << revived.status();
+      ASSERT_TRUE((*revived)->Start().ok());
+      deployment.servers[s] = std::move(*revived);
+    }
 
-  auto after = remote->Search(*query, 3, 1, ShardQueryMode::kStrict);
-  ASSERT_TRUE(after.ok()) << "first strict query after a clean restart "
-                             "must succeed, got: "
-                          << after.status();
-  ASSERT_EQ(after->hits.size(), before->hits.size());
-  for (size_t i = 0; i < before->hits.size(); ++i) {
-    EXPECT_EQ(after->hits[i].estimate.mi, before->hits[i].estimate.mi);
-    EXPECT_EQ(after->hits[i].global_index, before->hits[i].global_index);
+    auto after = remote->Search(*query, 3, 1, ShardQueryMode::kStrict);
+    ASSERT_TRUE(after.ok()) << "first strict query after a clean restart "
+                               "must succeed, got: "
+                            << after.status();
+    ASSERT_EQ(after->hits.size(), before->hits.size());
+    for (size_t i = 0; i < before->hits.size(); ++i) {
+      EXPECT_EQ(after->hits[i].estimate.mi, before->hits[i].estimate.mi);
+      EXPECT_EQ(after->hits[i].global_index, before->hits[i].global_index);
+    }
   }
 }
 
@@ -795,12 +788,302 @@ TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   EXPECT_GE(client->max_pipelined(), 2u)
       << "8 threads never had two requests in flight on the one connection";
   EXPECT_EQ(client->live_channels(), 1u);
-  EXPECT_EQ(client->pool().total_dials(), 1u);
+  EXPECT_EQ(client->total_dials(), 1u);
   // The sketch crossed the wire once; every query after the first reused
   // the connection-cached copy by digest.
   EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 1u);
   EXPECT_EQ(deployment.servers[0]->requests_served(),
             num_threads * queries_per_thread);
+}
+
+// Base tables over the universe's keys whose targets differ per table, so
+// each one sketches to a distinct train sketch (a distinct upload digest).
+std::vector<std::shared_ptr<Table>> MakeDistinctBases(size_t count) {
+  std::vector<std::shared_ptr<Table>> bases;
+  for (size_t q = 0; q < count; ++q) {
+    std::vector<std::string> keys;
+    std::vector<int64_t> targets;
+    for (size_t i = 0; i < 160; ++i) {
+      keys.push_back("key" + std::to_string(i));
+      targets.push_back(static_cast<int64_t>(i % (q + 2)));
+    }
+    bases.push_back(MakeTwoColumnTable("K", keys, "Y", targets));
+  }
+  return bases;
+}
+
+TEST(RpcShardTest, LongLivedV2ClientAnswersPastTheSketchCacheBound) {
+  // Regression: the server caches rpc::kMaxCachedSketches uploaded
+  // sketches per connection. A long-lived client on ONE connection must
+  // keep answering distinct queries past that bound — the server evicts
+  // its oldest digest and the channel forgets digests in the same order —
+  // and every answer must stay bit-identical to the local shard.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  Deployment deployment;
+  StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "distinct",
+                  &deployment, /*num_workers=*/4);
+
+  RpcClientOptions options = FastTimeouts();
+  options.pool_size = 1;
+  std::unique_ptr<ShardedSketchIndex> router;
+  const RpcShardClient* client = nullptr;
+  MakeSingleShardRouter(deployment, options, &router, &client);
+  ASSERT_EQ(client->negotiated_version(), net::kProtocolVersion);
+  auto local = ShardedSketchIndex::Load(deployment.manifest_path);
+  ASSERT_TRUE(local.ok());
+
+  const size_t num_queries = 12;
+  ASSERT_GT(num_queries, rpc::kMaxCachedSketches);
+  const auto bases = MakeDistinctBases(num_queries);
+  std::vector<TopKSearchResult> expected;
+  for (const auto& base : bases) {
+    auto answer = TopKJoinMISearch(*base, {"K", "Y"}, *local, 3, 1);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    expected.push_back(std::move(*answer));
+  }
+  // Two sequential passes: the second re-asks queries whose sketches both
+  // sides evicted during the first.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t q = 0; q < num_queries; ++q) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " query " +
+                   std::to_string(q));
+      auto actual = TopKJoinMISearch(*bases[q], {"K", "Y"}, *router, 3, 1);
+      ASSERT_TRUE(actual.ok()) << actual.status();
+      ExpectBitIdentical(expected[q], *actual);
+    }
+  }
+  // Client and server evicted in lockstep: every query uploaded exactly
+  // once per pass, none was refused and re-sent.
+  EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 2 * num_queries);
+
+  // Concurrent callers on the one connection race uploads against each
+  // other's batches; a batch whose sketch was evicted in between is
+  // refused before evaluating, re-uploaded and re-sent.
+  std::vector<Status> statuses(4, Status::OK());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < statuses.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < num_queries; ++i) {
+        const size_t q = (t * 3 + i) % num_queries;
+        auto actual =
+            TopKJoinMISearch(*bases[q], {"K", "Y"}, *router, 3, 1);
+        if (!actual.ok()) {
+          statuses[t] = actual.status();
+          return;
+        }
+        ExpectBitIdentical(expected[q], *actual);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < statuses.size(); ++t) {
+    EXPECT_TRUE(statuses[t].ok()) << "thread " << t << ": " << statuses[t];
+  }
+  EXPECT_EQ(deployment.servers[0]->handshakes_served(), 1u);
+  EXPECT_EQ(client->total_dials(), 1u);
+}
+
+TEST(RpcShardTest, ServerEvictsOldestSketchAndRefusesItsBatchWithKeyError) {
+  // The server half of the bound, over a raw v2 connection: an upload
+  // past rpc::kMaxCachedSketches evicts the oldest digest, and a batch
+  // naming it fails with KeyError while the newest still answers.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  Deployment deployment;
+  StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "evict",
+                  &deployment);
+  auto socket =
+      net::Socket::Connect("127.0.0.1", deployment.endpoints[0].port, 1000);
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  ASSERT_TRUE(socket->SetTimeouts(10000, 10000).ok());
+  rpc::HandshakeRequest hello;
+  hello.max_version = net::kProtocolVersion;
+  ASSERT_TRUE(net::SendFrame(&*socket, net::FrameType::kHandshakeRequest,
+                             rpc::EncodeHandshakeRequest(hello))
+                  .ok());
+  auto handshake = net::RecvFrame(&*socket);
+  ASSERT_TRUE(handshake.ok()) << handshake.status();
+  ASSERT_EQ(handshake->type, net::FrameType::kHandshakeResponse);
+
+  uint64_t request_id = 1;
+  std::vector<uint64_t> digests;
+  for (const auto& base : MakeDistinctBases(rpc::kMaxCachedSketches + 1)) {
+    auto query = JoinMIQuery::Create(*base, "K", "Y", index.config());
+    ASSERT_TRUE(query.ok()) << query.status();
+    rpc::SketchUploadRequest upload;
+    upload.train_sketch = query->SerializedTrainSketch();
+    upload.digest = wire::Checksum64(upload.train_sketch);
+    digests.push_back(upload.digest);
+    ASSERT_TRUE(net::SendFrameV2(&*socket,
+                                 net::FrameType::kSketchUploadRequest,
+                                 request_id++,
+                                 rpc::EncodeSketchUploadRequest(upload))
+                    .ok());
+    auto reply = net::RecvFrame(&*socket);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    auto accepted = rpc::DecodeSketchUploadResponse(reply->payload);
+    ASSERT_TRUE(accepted.ok()) << accepted.status();
+    EXPECT_TRUE(accepted->status.ok()) << accepted->status;
+  }
+  auto batch = [&](uint64_t digest) -> Status {
+    rpc::BatchSearchRequest request;
+    request.sketch_digest = digest;
+    request.variants.push_back(rpc::BatchSearchVariant{3, 16});
+    JOINMI_RETURN_NOT_OK(net::SendFrameV2(
+        &*socket, net::FrameType::kBatchSearchRequest, request_id++,
+        rpc::EncodeBatchSearchRequest(request)));
+    JOINMI_ASSIGN_OR_RETURN(net::Frame reply, net::RecvFrame(&*socket));
+    JOINMI_ASSIGN_OR_RETURN(rpc::BatchSearchResponse response,
+                            rpc::DecodeBatchSearchResponse(reply.payload));
+    return response.status;
+  };
+  const Status oldest = batch(digests.front());
+  EXPECT_TRUE(oldest.IsKeyError()) << oldest;
+  const Status newest = batch(digests.back());
+  EXPECT_TRUE(newest.ok()) << newest;
+}
+
+// ------------------------------------------------------------ ChannelSet
+
+// One connected socket plus the peer end the test controls.
+std::pair<net::Socket, net::Socket> ConnectedPair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {net::Socket(fds[0]), net::Socket(fds[1])};
+}
+
+// A factory of v1 channels over sockets with no peer; `calls` counts
+// factory invocations, successful or not.
+rpc::ChannelSet::ChannelFactory IdleChannelFactory(
+    std::atomic<int>* calls) {
+  return [calls]() -> Result<std::shared_ptr<rpc::Channel>> {
+    calls->fetch_add(1);
+    return std::make_shared<rpc::Channel>(net::Socket(), 1, 1000, nullptr);
+  };
+}
+
+TEST(ChannelSetTest, DialsLazilyAndReusesAnIdleChannel) {
+  std::atomic<int> calls{0};
+  rpc::ChannelSet set(IdleChannelFactory(&calls), 2);
+  EXPECT_EQ(calls.load(), 0);  // construction never dials
+  auto first = set.Pick();
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto second = set.Pick();  // the first is idle: reuse, not re-dial
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(first->get(), second->get());
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(set.total_dials(), 1u);
+  EXPECT_EQ(set.live_channels(), 1u);
+}
+
+TEST(ChannelSetTest, FailedDialPropagatesVerbatimAndFreesItsSlot) {
+  // With one slot, a dial failure that leaked its slot would leave the
+  // next Pick waiting forever on a dial that never finishes.
+  std::atomic<int> calls{0};
+  rpc::ChannelSet set(
+      [&calls]() -> Result<std::shared_ptr<rpc::Channel>> {
+        calls.fetch_add(1);
+        return Status::InvalidArgument("handshake config mismatch");
+      },
+      1);
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    auto channel = set.Pick();
+    ASSERT_FALSE(channel.ok());
+    EXPECT_TRUE(channel.status().IsInvalidArgument());
+    EXPECT_EQ(channel.status().message(), "handshake config mismatch");
+  }
+  EXPECT_EQ(calls.load(), 3);
+  EXPECT_EQ(set.total_dials(), 0u);  // only successful dials count
+  EXPECT_EQ(set.live_channels(), 0u);
+}
+
+TEST(ChannelSetTest, PickAfterCloseFailsWithoutCallingTheFactory) {
+  std::atomic<int> calls{0};
+  rpc::ChannelSet set(IdleChannelFactory(&calls), 2);
+  ASSERT_TRUE(set.Pick().ok());
+  set.Close();
+  EXPECT_EQ(set.live_channels(), 0u);  // Close drops its channels
+  auto channel = set.Pick();
+  ASSERT_FALSE(channel.ok());
+  EXPECT_TRUE(channel.status().IsIOError()) << channel.status();
+  EXPECT_EQ(calls.load(), 1);
+  set.Close();  // idempotent
+}
+
+TEST(ChannelSetTest, CloseWakesAPickWaitingOnAnotherThreadsDial) {
+  // One slot, and the only dial is stuck: a second Pick has nothing to
+  // share and must wait — until Close wakes it with a deterministic error.
+  std::atomic<bool> dialing{false};
+  std::atomic<bool> release_dial{false};
+  rpc::ChannelSet set(
+      [&]() -> Result<std::shared_ptr<rpc::Channel>> {
+        dialing.store(true);
+        while (!release_dial.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return std::make_shared<rpc::Channel>(net::Socket(), 1, 1000,
+                                              nullptr);
+      },
+      1);
+  Status dialer_status = Status::OK();
+  std::thread dialer([&] { dialer_status = set.Pick().status(); });
+  while (!dialing.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::atomic<bool> woke{false};
+  Status waiter_status = Status::OK();
+  std::thread waiter([&] {
+    waiter_status = set.Pick().status();
+    woke.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(woke.load());
+
+  set.Close();
+  waiter.join();
+  EXPECT_TRUE(waiter_status.IsIOError()) << waiter_status;
+  EXPECT_NE(waiter_status.message().find("closed"), std::string::npos)
+      << waiter_status;
+  release_dial.store(true);
+  dialer.join();
+  // The dial finished into a closed set: its channel is not handed out.
+  EXPECT_TRUE(dialer_status.IsIOError()) << dialer_status;
+  EXPECT_EQ(set.live_channels(), 0u);
+}
+
+TEST(ChannelSetTest, StaleV1ChannelFailsUnsentAndIsReplaced) {
+  // A v1 channel whose peer hung up while it sat idle fails its next call
+  // before writing a byte, so the caller may retry; the set then prunes
+  // it and dials a replacement.
+  std::vector<net::Socket> peers;
+  rpc::ChannelSet set(
+      [&]() -> Result<std::shared_ptr<rpc::Channel>> {
+        auto pair = ConnectedPair();
+        peers.push_back(std::move(pair.second));
+        return std::make_shared<rpc::Channel>(std::move(pair.first), 1, 1000,
+                                              nullptr);
+      },
+      1);
+  auto channel = set.Pick();
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  peers.back().Close();  // the server restarts
+
+  bool reached_wire = false;
+  auto reply = (*channel)->Call(net::FrameType::kHealthRequest, "",
+                                &reached_wire);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(reply.status().IsIOError()) << reply.status();
+  EXPECT_FALSE(reached_wire);
+  EXPECT_TRUE((*channel)->broken());
+
+  auto fresh = set.Pick();
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_NE(fresh->get(), channel->get());
+  EXPECT_EQ(set.total_dials(), 2u);
+  EXPECT_EQ(set.live_channels(), 1u);
 }
 
 TEST(RpcShardTest, BatchedVariantsBitIdenticalAcrossShardsAndPolicies) {
