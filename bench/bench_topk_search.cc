@@ -79,7 +79,8 @@
 // bit-identical first), and an admission sub-drill saturates a
 // max_pending=1 router until the gate sheds with structured kOverloaded +
 // retry-after rejections. The repeat-query speedup is a hard gate: the
-// bench aborts unless cached repeats run at least 5x faster.
+// bench aborts unless cached repeats run at least 5x faster, comparing the
+// best of several alternating replay rounds per router.
 //
 // Part 10 is the mutable index: a router serves a deployment while an
 // ingest coordinator appends delta batches, publishes a new manifest
@@ -1071,20 +1072,29 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
     }
     return MillisSince(start);
   };
-  const double uncached_ms = replay(**uncached);
+  // Several rounds, alternating the routers, and the best round of each
+  // is what gets gated: a smoke round of cached repeats lasts about 0.1 ms,
+  // so one preemption (or a core shared with parallel tests) in a single
+  // timed pass could sink the ratio on its own.
+  constexpr int kRounds = 5;
   const uint64_t hits_before = (*cached)->cache_stats().hits;
-  const double cached_ms = replay(**cached);
+  double uncached_ms = replay(**uncached);
+  double cached_ms = replay(**cached);
+  for (int round = 1; round < kRounds; ++round) {
+    uncached_ms = std::min(uncached_ms, replay(**uncached));
+    cached_ms = std::min(cached_ms, replay(**cached));
+  }
   const RouterCacheStats stats = (*cached)->cache_stats();
   const double hit_rate =
       static_cast<double>(stats.hits - hits_before) /
-      static_cast<double>(requests);
+      static_cast<double>(kRounds * requests);
   const double speedup = cached_ms > 0 ? uncached_ms / cached_ms : 0.0;
   std::printf("uncached     : %8.2f ms total | %8.3f ms/query (full "
-              "fan-out every request)\n",
-              uncached_ms, uncached_ms / requests);
+              "fan-out every request; best of %d rounds)\n",
+              uncached_ms, uncached_ms / requests, kRounds);
   std::printf("cached       : %8.2f ms total | %8.3f ms/query | hit rate "
-              "%.2f | repeat speedup %.1fx\n",
-              cached_ms, cached_ms / requests, hit_rate, speedup);
+              "%.2f | repeat speedup %.1fx (best of %d rounds)\n",
+              cached_ms, cached_ms / requests, hit_rate, speedup, kRounds);
   RecordMetric("part8_requests", static_cast<double>(requests));
   RecordMetric("part8_distinct_queries", static_cast<double>(distinct));
   RecordMetric("part8_uncached_ms_per_query", uncached_ms / requests);

@@ -249,23 +249,27 @@ int main(int argc, char** argv) {
   const auto& query_table = pairs[0].train;
   auto query = JoinMIQuery::Create(*query_table, "K", "Y", config);
   query.status().Abort("sketching the query table");
-  auto hits = index.Query(*query, /*top_k=*/8);
-  hits.status().Abort("querying the index");
+  auto ranked = index.SearchQuery(*query, /*k=*/8, /*num_threads=*/0,
+                                  ShardQueryMode::kStrict);
+  ranked.status().Abort("querying the index");
+  const std::vector<SearchHit>& hits = ranked->hits;
 
   std::printf("Top augmentation candidates for target 'Y' (query table has "
               "%zu rows):\n\n", query_table->num_rows());
   std::printf("  %-36s %9s %8s %-9s %s\n", "candidate", "est. MI", "samples",
               "estimator", "ground truth");
-  for (const DiscoveryHit& hit : *hits) {
+  for (const SearchHit& hit : hits) {
     // Recover the pair index from the table name to report ground truth.
     const size_t idx =
-        static_cast<size_t>(std::stoul(hit.ref.table_name.substr(8)));
-    std::printf("  %-36s %9.3f %8zu %-9s %s\n", hit.ref.ToString().c_str(),
-                hit.mi, hit.join_size, MIEstimatorKindToString(hit.estimator),
+        static_cast<size_t>(std::stoul(hit.candidate.table_name.substr(8)));
+    std::printf("  %-36s %9.3f %8zu %-9s %s\n",
+                hit.candidate.ToString().c_str(), hit.estimate.mi,
+                hit.estimate.sample_size,
+                MIEstimatorKindToString(hit.estimate.estimator),
                 same_family[idx] ? "related (same latent family)"
                                  : "unrelated");
   }
-  if (hits->empty()) {
+  if (hits.empty()) {
     std::printf("  (no candidate cleared the %zu-sample join threshold)\n",
                 config.min_join_size);
   }
@@ -284,13 +288,17 @@ int main(int argc, char** argv) {
   WriteIndexFile(index, index_path).Abort("persisting the index");
   auto reloaded = ReadIndexFile(index_path);
   reloaded.status().Abort("reloading the index");
-  auto hits_again = reloaded->Query(*query, /*top_k=*/8);
-  hits_again.status().Abort("querying the reloaded index");
-  bool identical = hits_again->size() == hits->size();
-  for (size_t i = 0; identical && i < hits->size(); ++i) {
-    identical = (*hits_again)[i].mi == (*hits)[i].mi &&
-                (*hits_again)[i].join_size == (*hits)[i].join_size &&
-                (*hits_again)[i].ref.ToString() == (*hits)[i].ref.ToString();
+  auto ranked_again = reloaded->SearchQuery(*query, /*k=*/8,
+                                            /*num_threads=*/0,
+                                            ShardQueryMode::kStrict);
+  ranked_again.status().Abort("querying the reloaded index");
+  const std::vector<SearchHit>& hits_again = ranked_again->hits;
+  bool identical = hits_again.size() == hits.size();
+  for (size_t i = 0; identical && i < hits.size(); ++i) {
+    identical =
+        hits_again[i].estimate.mi == hits[i].estimate.mi &&
+        hits_again[i].estimate.sample_size == hits[i].estimate.sample_size &&
+        hits_again[i].candidate.ToString() == hits[i].candidate.ToString();
   }
   std::printf(
       "\nPersisted the index to %s and reloaded it: %zu sketches, "

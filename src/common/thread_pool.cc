@@ -1,6 +1,8 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace joinmi {
 
@@ -21,11 +23,6 @@ ThreadPool::~ThreadPool() {
   }
   wake_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-}
-
-size_t ThreadPool::queue_size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 void ThreadPool::Wait() {
@@ -56,5 +53,70 @@ void ThreadPool::WorkerLoop() {
     }
   }
 }
+
+namespace internal {
+
+void ParallelForOnExecutor(size_t n, size_t parallelism,
+                           const std::function<void(size_t)>& fn) {
+  static ThreadPool executor(ThreadPool::DefaultThreadCount());
+  const size_t threads = std::min(
+      parallelism == 0 ? ThreadPool::DefaultThreadCount() : parallelism, n);
+  if (threads <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // Per-call progress, shared with the helper tasks. A helper can start
+  // after the call has returned (queued behind other work); it then claims
+  // no index and leaves without touching `fn`, so only this state must
+  // outlive the call.
+  struct Progress {
+    std::atomic<size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable all_done;
+    size_t done = 0;
+    size_t error_index = 0;
+    std::exception_ptr error;
+  };
+  auto progress = std::make_shared<Progress>();
+  auto drain = [progress, &fn, n] {
+    size_t ran = 0;
+    size_t error_index = 0;
+    std::exception_ptr error;
+    for (size_t i; (i = progress->next.fetch_add(1)) < n; ++ran) {
+      try {
+        fn(i);
+      } catch (...) {
+        // Claims rise, so a participant's first error is its lowest.
+        if (!error) {
+          error = std::current_exception();
+          error_index = i;
+        }
+      }
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(progress->mutex);
+    progress->done += ran;
+    // Exceptions move under the lock, so only the caller ever drops the
+    // one it rethrows.
+    if (error && (!progress->error || error_index < progress->error_index)) {
+      progress->error = std::move(error);
+      progress->error_index = error_index;
+    }
+    if (progress->done == n) progress->all_done.notify_all();
+  };
+  const size_t helpers = std::min(threads - 1, executor.num_threads());
+  for (size_t h = 0; h < helpers; ++h) executor.Submit(drain);
+  drain();
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(progress->mutex);
+    progress->all_done.wait(lock,
+                            [&progress, n] { return progress->done == n; });
+    error = std::move(progress->error);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace internal
 
 }  // namespace joinmi

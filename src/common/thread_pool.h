@@ -1,8 +1,9 @@
-// Fixed-size thread pool with future-returning task submission. The pool is
-// deliberately minimal — a locked deque feeding N workers — because the
-// discovery workloads built on top of it are coarse-grained (one task per
-// candidate column pair), so queue contention is negligible next to the
-// sketch-probe work each task performs.
+// Fixed-size thread pool with future-returning task submission, and
+// ParallelFor, the process-wide executor every discovery fan-out runs on.
+// The pool is deliberately minimal — a locked deque feeding N workers —
+// because the discovery workloads built on top of it are coarse-grained
+// (one task per strip of candidates or per shard), so queue contention is
+// negligible next to the sketch-probe work each task performs.
 
 #ifndef JOINMI_COMMON_THREAD_POOL_H_
 #define JOINMI_COMMON_THREAD_POOL_H_
@@ -43,9 +44,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// \brief Number of tasks currently queued (excludes running tasks).
-  size_t queue_size() const;
-
   /// \brief Enqueues a callable and returns a future for its result. The
   /// callable's exceptions propagate through the future.
   template <typename F>
@@ -71,7 +69,7 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;   // workers wait here for tasks
   std::condition_variable idle_;   // Wait() blocks here
   std::deque<std::function<void()>> queue_;
@@ -79,6 +77,36 @@ class ThreadPool {
   size_t active_ = 0;   // tasks currently executing
   bool stopping_ = false;
 };
+
+namespace internal {
+
+/// \brief ParallelFor's pooled path.
+void ParallelForOnExecutor(size_t n, size_t parallelism,
+                           const std::function<void(size_t)>& fn);
+
+}  // namespace internal
+
+/// \brief Runs fn(i) once for every i in [0, n), with at most
+/// `parallelism` threads at once (0 = ThreadPool::DefaultThreadCount()),
+/// and returns when every call has returned.
+///
+/// Work runs on one process-wide ThreadPool of DefaultThreadCount()
+/// workers, started on first use and shared by every caller, so no call
+/// spawns threads of its own. The calling thread claims items too: a
+/// ParallelFor nested inside `fn` finishes even when every worker is
+/// busy, because the caller alone can drain it. An exception from fn
+/// reaches the caller only once no item is still running; a pooled call
+/// runs the remaining items first and rethrows the lowest throwing
+/// index's exception. `parallelism` 1, or `n` <= 1, runs inline on the
+/// caller without touching the pool or the heap.
+template <typename Fn>
+void ParallelFor(size_t n, size_t parallelism, Fn&& fn) {
+  if (parallelism == 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  internal::ParallelForOnExecutor(n, parallelism, std::ref(fn));
+}
 
 }  // namespace joinmi
 

@@ -96,6 +96,16 @@ Result<net::Frame> Channel::Call(net::FrameType type,
 Result<net::Frame> Channel::CallV2(net::FrameType type,
                                    const std::string& payload,
                                    bool* reached_wire) {
+  // The reader notices a closed peer on its own schedule, which on a busy
+  // host can lag a server restart. A call that finds the channel idle
+  // probes too, so it is never sent into a connection the server already
+  // closed: nothing is sent yet, so the caller may retry on a fresh one.
+  if (in_flight_.load() == 1 && socket_.StaleForReuse()) {
+    const Status stale =
+        Status::IOError("connection went stale while idle (peer closed)");
+    MarkBroken(stale);
+    return stale;
+  }
   Pending pending;
   const uint64_t id = next_id_.fetch_add(1);
   {

@@ -10,10 +10,11 @@
 // id — the channel itself stays healthy); a read or write error breaks
 // the channel and fails every pending waiter with the same IOError.
 // Against a v1 server there is no request_id and no reader, so Call()
-// serializes send+receive under an exclusive mutex and first probes the
-// idle socket (Socket::StaleForReuse): a peer that closed since the last
-// exchange breaks the channel before any byte is sent, so the caller may
-// retry on a fresh one.
+// serializes send+receive under an exclusive mutex. Either way a call
+// that finds the channel idle first probes the socket
+// (Socket::StaleForReuse): a peer that closed since the last exchange
+// breaks the channel before any byte is sent, so the caller may retry on
+// a fresh one — even when a v2 reader has not yet seen the close.
 //
 // A Channel also tracks which sketch digests this connection has uploaded
 // (EnsureSketchUploaded is once-per-digest, idempotent server-side), so a

@@ -31,8 +31,9 @@ namespace joinmi {
 
 /// \brief Execution knobs for the repository-scan TopKJoinMISearch.
 struct SearchConfig {
-  /// Worker threads; 0 means hardware concurrency, 1 runs inline without a
-  /// pool. Rankings do not depend on this value.
+  /// Most threads scoring candidates at once, on the shared ParallelFor
+  /// executor (thread_pool.h); 0 means hardware concurrency, 1 runs inline
+  /// on the caller. Rankings do not depend on this value.
   size_t num_threads = 0;
   /// Per-query sketching/estimation configuration.
   JoinMIConfig join_config;

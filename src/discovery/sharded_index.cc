@@ -68,6 +68,26 @@ ShardSearchResult SelectShardHits(
   return result;
 }
 
+ShardSearchResult MergeShardResults(std::vector<ShardSearchResult> parts,
+                                    size_t k) {
+  ShardSearchResult merged;
+  size_t total_hits = 0;
+  for (const ShardSearchResult& part : parts) {
+    merged.num_candidates += part.num_candidates;
+    merged.num_evaluated += part.num_evaluated;
+    merged.num_skipped += part.num_skipped;
+    merged.num_errors += part.num_errors;
+    total_hits += part.hits.size();
+  }
+  merged.hits.reserve(total_hits);
+  for (ShardSearchResult& part : parts) {
+    for (ShardSearchHit& hit : part.hits) merged.hits.push_back(std::move(hit));
+  }
+  std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
+  if (merged.hits.size() > k) merged.hits.resize(k);
+  return merged;
+}
+
 // ------------------------------------------------------- LocalShardClient
 
 Result<std::unique_ptr<LocalShardClient>> LocalShardClient::Create(
@@ -263,79 +283,11 @@ Result<ShardSearchResult> ShardedSketchIndex::Search(
   if (k == 0) {
     return Status::InvalidArgument("sharded search requires k >= 1");
   }
-  const size_t num_shards = clients_.size();
-  std::vector<ShardSearchResult> per_shard(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-  auto run_shard = [this, &query, k, &per_shard, &statuses](
-                       size_t s, size_t shard_threads) {
-    auto result = clients_[s]->Search(query, k, shard_threads);
-    if (result.ok()) {
-      per_shard[s] = std::move(*result);
-    } else {
-      statuses[s] = result.status();
-    }
-  };
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) run_shard(s, threads);
-  } else {
-    // One task per shard, with the thread budget divided among the shard
-    // evaluations (each gets >= 1) so total concurrency stays ~threads
-    // whether the index has 2 shards or 200 — never fewer workers than the
-    // unsharded path would use, never oversubscribed by nesting.
-    const size_t per_shard_threads = std::max<size_t>(1, threads / num_shards);
-    ThreadPool pool(std::min(threads, num_shards));
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool.Submit([&run_shard, s, per_shard_threads] {
-        run_shard(s, per_shard_threads);
-      });
-    }
-    pool.Wait();
-  }
-  ShardSearchResult merged;
-  if (mode == ShardQueryMode::kStrict) {
-    // First failure in shard order wins, so errors are deterministic too.
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) {
-        return Status(statuses[s].code(),
-                      "shard " + std::to_string(s) + " failed: " +
-                          statuses[s].message());
-      }
-    }
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) {
-        merged.shard_failures.push_back(ShardFailure{s, statuses[s]});
-      }
-    }
-    if (merged.shard_failures.size() == num_shards) {
-      const Status& first = merged.shard_failures.front().status;
-      return Status(first.code(),
-                    "every shard failed; first failure (shard " +
-                        std::to_string(merged.shard_failures.front().shard) +
-                        "): " + first.message());
-    }
-  }
-  size_t total_hits = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!statuses[s].ok()) continue;
-    merged.num_candidates += per_shard[s].num_candidates;
-    merged.num_evaluated += per_shard[s].num_evaluated;
-    merged.num_skipped += per_shard[s].num_skipped;
-    merged.num_errors += per_shard[s].num_errors;
-    total_hits += per_shard[s].hits.size();
-  }
-  merged.hits.reserve(total_hits);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!statuses[s].ok()) continue;
-    for (ShardSearchHit& hit : per_shard[s].hits) {
-      merged.hits.push_back(std::move(hit));
-    }
-  }
-  std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
-  if (merged.hits.size() > k) merged.hits.resize(k);
-  return merged;
+  JOINMI_ASSIGN_OR_RETURN(
+      std::vector<ShardSearchResult> results,
+      SearchVariants(query, {{k, query.config().min_join_size}}, num_threads,
+                     mode));
+  return std::move(results[0]);
 }
 
 Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
@@ -351,9 +303,11 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
   const size_t num_shards = clients_.size();
   std::vector<std::vector<ShardSearchResult>> per_shard(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  auto run_shard = [this, &query, &variants, &per_shard, &statuses](
-                       size_t s, size_t shard_threads) {
-    auto result = clients_[s]->SearchVariants(query, variants, shard_threads);
+  // One item per shard on the shared executor. A local shard's own
+  // candidate fan-out nests inside its item, so it gets the same thread
+  // budget: the executor's fixed size is what bounds total concurrency.
+  ParallelFor(num_shards, num_threads, [&](size_t s) {
+    auto result = clients_[s]->SearchVariants(query, variants, num_threads);
     if (result.ok() && result->size() != variants.size()) {
       statuses[s] = Status::IOError(
           "shard answered " + std::to_string(result->size()) +
@@ -364,24 +318,11 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
     } else {
       statuses[s] = result.status();
     }
-  };
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) run_shard(s, threads);
-  } else {
-    const size_t per_shard_threads = std::max<size_t>(1, threads / num_shards);
-    ThreadPool pool(std::min(threads, num_shards));
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool.Submit([&run_shard, s, per_shard_threads] {
-        run_shard(s, per_shard_threads);
-      });
-    }
-    pool.Wait();
-  }
-  // Failure handling mirrors Search: a shard fails or answers the whole
-  // batch, so strict mode fails everything on the first bad shard and
-  // degraded mode drops that shard from every variant's merge.
+  });
+  // A shard fails or answers the whole batch, so strict mode fails
+  // everything on the first bad shard (in shard order, so errors are
+  // deterministic too) and degraded mode drops that shard from every
+  // variant's merge.
   std::vector<ShardFailure> failures;
   if (mode == ShardQueryMode::kStrict) {
     for (size_t s = 0; s < num_shards; ++s) {
@@ -405,29 +346,16 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
                         "): " + first.message());
     }
   }
-  std::vector<ShardSearchResult> merged(variants.size());
+  std::vector<ShardSearchResult> merged;
+  merged.reserve(variants.size());
   for (size_t i = 0; i < variants.size(); ++i) {
-    ShardSearchResult& out = merged[i];
-    out.shard_failures = failures;
-    size_t total_hits = 0;
+    std::vector<ShardSearchResult> parts;
+    parts.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) continue;
-      const ShardSearchResult& shard_result = per_shard[s][i];
-      out.num_candidates += shard_result.num_candidates;
-      out.num_evaluated += shard_result.num_evaluated;
-      out.num_skipped += shard_result.num_skipped;
-      out.num_errors += shard_result.num_errors;
-      total_hits += shard_result.hits.size();
+      if (statuses[s].ok()) parts.push_back(std::move(per_shard[s][i]));
     }
-    out.hits.reserve(total_hits);
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) continue;
-      for (ShardSearchHit& hit : per_shard[s][i].hits) {
-        out.hits.push_back(std::move(hit));
-      }
-    }
-    std::sort(out.hits.begin(), out.hits.end(), BetterHit);
-    if (out.hits.size() > variants[i].k) out.hits.resize(variants[i].k);
+    merged.push_back(MergeShardResults(std::move(parts), variants[i].k));
+    merged.back().shard_failures = failures;
   }
   return merged;
 }

@@ -86,6 +86,14 @@ ShardSearchResult SelectShardHits(
     const std::vector<uint64_t>& global_indices,
     const std::function<ColumnPairRef(size_t)>& ref_at);
 
+/// \brief Merges answers to one query into one top-k: sums the outcome
+/// counters, concatenates the hits, sorts them by BetterHit and keeps the
+/// first k. Each part must hold its own top-k under that order, so
+/// nothing the merged top-k could keep is missing. Used across shards and
+/// across a delta overlay's base and delta; shard_failures stay empty.
+ShardSearchResult MergeShardResults(std::vector<ShardSearchResult> parts,
+                                    size_t k);
+
 /// \brief One (k, min_join_size) variant of a batched search — many
 /// variants share one sketched query, which over RPC shares one uploaded
 /// sketch.
@@ -216,20 +224,23 @@ class ShardedSketchIndex : public Searchable {
   /// \brief Total candidates across all shards.
   size_t size() const { return static_cast<size_t>(manifest_.total_candidates); }
 
-  /// \brief Fans the query out to every shard (one ThreadPool task per
-  /// shard when `num_threads` > 1) and merges the per-shard top-k lists by
-  /// (MI desc, global index asc). Identical results for any thread count.
-  /// See ShardQueryMode for how shard failures are handled.
+  /// \brief SearchVariants with the single variant {k, the query's own
+  /// min_join_size}: every shard answers through ParallelFor and the
+  /// per-shard top-k lists merge by (MI desc, global index asc).
+  /// Identical results for any thread count. See ShardQueryMode for how
+  /// shard failures are handled.
   Result<ShardSearchResult> Search(
       const JoinMIQuery& query, size_t k, size_t num_threads = 0,
       ShardQueryMode mode = ShardQueryMode::kStrict) const;
 
-  /// \brief Batched fan-out: every variant against every shard, merged
-  /// per variant with the same comparator as Search. result[i] is
+  /// \brief Batched fan-out: every variant against every shard, one
+  /// ParallelFor item per shard (`num_threads` 0 = hardware concurrency,
+  /// 1 = inline), merged per variant by MergeShardResults. result[i] is
   /// bit-identical to Search over a query rebuilt with variants[i]'s
   /// min_join_size — over RPC the sketch crosses the wire once per
-  /// connection instead of once per (variant, shard). Mode semantics
-  /// match Search, applied per variant.
+  /// connection instead of once per (variant, shard). A shard fails or
+  /// answers the whole batch, so under ShardQueryMode a failed shard
+  /// fails (strict) or drops out of (degraded) every variant.
   Result<std::vector<ShardSearchResult>> SearchVariants(
       const JoinMIQuery& query,
       const std::vector<ShardSearchVariant>& variants, size_t num_threads = 0,

@@ -11,9 +11,9 @@ namespace joinmi {
 
 namespace {
 
-// Candidates scored per ThreadPool task by EvaluateAll. Small enough that
-// a task's working set (a strip of candidate sketches + the shared train
-// runs) stays cache-resident; large enough to amortize task dispatch.
+// Candidates scored per ParallelFor item by EvaluateAll. Small enough that
+// an item's working set (a strip of candidate sketches + the shared train
+// runs) stays cache-resident; large enough to amortize item dispatch.
 constexpr size_t kCandidateStrip = 8;
 
 }  // namespace
@@ -21,24 +21,21 @@ constexpr size_t kCandidateStrip = 8;
 IndexEvaluation ScoreCandidates(size_t count, size_t num_threads,
                                 size_t strip, const CandidateScorer& score) {
   std::vector<CandidateScore> outcomes(count);
-  // Each strip owns its scratch sample, so a worker reuses one sample's
-  // capacity across the strip and no two workers share one.
-  auto run_strip = [&score, &outcomes](size_t begin, size_t end) {
-    PairedSample scratch;
-    for (size_t i = begin; i < end; ++i) outcomes[i] = score(i, &scratch);
-  };
+  // Each strip owns its scratch sample, so a thread reuses one sample's
+  // capacity across the strip and no two threads share one. Run inline,
+  // one strip spans every candidate and one sample serves them all.
   const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
                                           : num_threads;
-  if (threads <= 1 || count <= strip) {
-    run_strip(0, count);
-  } else {
-    ThreadPool pool(threads);
-    for (size_t begin = 0; begin < count; begin += strip) {
-      const size_t end = std::min(begin + strip, count);
-      pool.Submit([&run_strip, begin, end] { run_strip(begin, end); });
-    }
-    pool.Wait();
-  }
+  if (threads <= 1) strip = std::max<size_t>(count, 1);
+  const size_t num_strips = (count + strip - 1) / strip;
+  ParallelFor(num_strips, num_threads,
+              [&score, &outcomes, count, strip](size_t s) {
+                PairedSample scratch;
+                const size_t end = std::min(count, (s + 1) * strip);
+                for (size_t i = s * strip; i < end; ++i) {
+                  outcomes[i] = score(i, &scratch);
+                }
+              });
   IndexEvaluation evaluation;
   evaluation.estimates.reserve(count);
   for (const CandidateScore& outcome : outcomes) {
@@ -118,53 +115,6 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
       [this, &query](size_t c, PairedSample* scratch) {
         return query.Score(candidates_[c].sketch(), scratch);
       });
-}
-
-Result<std::vector<DiscoveryHit>> SketchIndex::Query(const JoinMIQuery& query,
-                                                     size_t top_k,
-                                                     size_t num_threads) const {
-  JOINMI_ASSIGN_OR_RETURN(IndexEvaluation evaluation,
-                          EvaluateAll(query, num_threads));
-  std::vector<size_t> ranked;
-  ranked.reserve(evaluation.num_evaluated);
-  for (size_t i = 0; i < evaluation.estimates.size(); ++i) {
-    if (evaluation.estimates[i].has_value()) ranked.push_back(i);
-  }
-  // Strict weak order with no incomparable pairs: MI desc, join size desc,
-  // then the candidate ref and finally the insertion index, so duplicated
-  // candidates and exact ties cannot reorder across runs or thread counts.
-  auto better = [this, &evaluation](size_t a, size_t b) {
-    const JoinMIEstimate& ea = *evaluation.estimates[a];
-    const JoinMIEstimate& eb = *evaluation.estimates[b];
-    if (ea.mi != eb.mi) return ea.mi > eb.mi;
-    if (ea.sample_size != eb.sample_size) {
-      return ea.sample_size > eb.sample_size;
-    }
-    const ColumnPairRef& ra = candidates_[a].ref;
-    const ColumnPairRef& rb = candidates_[b].ref;
-    if (ra.table_name != rb.table_name) {
-      return ra.table_name < rb.table_name;
-    }
-    if (ra.key_column != rb.key_column) {
-      return ra.key_column < rb.key_column;
-    }
-    if (ra.value_column != rb.value_column) {
-      return ra.value_column < rb.value_column;
-    }
-    return a < b;
-  };
-  const size_t take = std::min(top_k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
-                    better);
-  std::vector<DiscoveryHit> hits;
-  hits.reserve(take);
-  for (size_t r = 0; r < take; ++r) {
-    const size_t i = ranked[r];
-    const JoinMIEstimate& estimate = *evaluation.estimates[i];
-    hits.push_back(DiscoveryHit{candidates_[i].ref, estimate.mi,
-                                estimate.sample_size, estimate.estimator});
-  }
-  return hits;
 }
 
 // ------------------------------------------------------------ Persistence

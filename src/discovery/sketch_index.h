@@ -5,8 +5,8 @@
 //
 // The index is the persisted backbone of that deployment: each candidate's
 // sketch is stored once, validated at add time so every query can merge it
-// against the prepared train runs, queries fan out across a thread pool
-// with a deterministic merge, and the whole index
+// against the prepared train runs, queries fan out on the shared
+// ParallelFor executor with a deterministic merge, and the whole index
 // (config + provenance + sketches) serializes to a versioned binary format
 // so it can be built offline and served after a restart.
 //
@@ -43,14 +43,6 @@ struct IndexedCandidate {
   const Sketch& sketch() const { return stored_sketch; }
 };
 
-/// \brief One ranked answer from a discovery query.
-struct DiscoveryHit {
-  ColumnPairRef ref;
-  double mi = 0.0;
-  size_t join_size = 0;
-  MIEstimatorKind estimator = MIEstimatorKind::kMLE;
-};
-
 /// \brief Per-candidate outcomes of evaluating one query against the whole
 /// index, in candidate enumeration order.
 struct IndexEvaluation {
@@ -73,10 +65,10 @@ using CandidateScorer =
     std::function<CandidateScore(size_t index, PairedSample* scratch)>;
 
 /// \brief The fan-out and outcome tally every candidate loop shares:
-/// scores candidates [0, count) in strips of `strip` on a per-call thread
-/// pool (`num_threads` 0 = hardware concurrency, 1 = inline), then tallies
-/// the outcomes in enumeration order — so results never depend on the
-/// thread count.
+/// scores candidates [0, count) in strips of `strip` through ParallelFor
+/// (`num_threads` 0 = hardware concurrency, 1 = inline on the caller),
+/// then tallies the outcomes in enumeration order — so results never
+/// depend on the thread count.
 IndexEvaluation ScoreCandidates(size_t count, size_t num_threads,
                                 size_t strip, const CandidateScorer& score);
 
@@ -105,8 +97,9 @@ class SketchIndex : public Searchable {
   /// returns the number indexed.
   Result<size_t> IndexRepository(const TableRepository& repository);
 
-  /// \brief Evaluates the query against every candidate, fanning out on a
-  /// thread pool (`num_threads` 0 = hardware concurrency, 1 = inline).
+  /// \brief Evaluates the query against every candidate, fanning out
+  /// through ScoreCandidates (`num_threads` 0 = hardware concurrency,
+  /// 1 = inline).
   /// Outcomes land in enumeration order, so results never depend on the
   /// thread count. Fails fast on a query/index hash-seed mismatch. Each
   /// candidate is scored by the kernel under the query's config, exactly
@@ -114,18 +107,10 @@ class SketchIndex : public Searchable {
   Result<IndexEvaluation> EvaluateAll(const JoinMIQuery& query,
                                       size_t num_threads = 0) const;
 
-  /// \brief Ranks all candidates by estimated MI against the query; hits
-  /// whose sketch join is smaller than config.min_join_size are dropped
-  /// (the paper's meaningless-estimate guard). Ties break by join size,
-  /// then by candidate ref (table, key, value), then by insertion order,
-  /// so the ranking is fully deterministic — including across thread
-  /// counts and for duplicated candidates.
-  Result<std::vector<DiscoveryHit>> Query(const JoinMIQuery& query,
-                                          size_t top_k,
-                                          size_t num_threads = 0) const;
-
   // Searchable: the single-interface search path (search.h drives it).
-  // `mode` is ignored — an unsharded index has no shard to lose.
+  // Hits rank by MI desc, then insertion order — the one discovery order
+  // (topk_merge.h). `mode` is ignored — an unsharded index has no shard
+  // to lose.
   const JoinMIConfig& search_config() const override { return config_; }
   Result<TopKSearchResult> SearchQuery(const JoinMIQuery& query, size_t k,
                                        size_t num_threads,

@@ -1,6 +1,5 @@
 #include "src/ingest/delta_shard_client.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <utility>
 #include <vector>
@@ -40,24 +39,12 @@ Result<std::unique_ptr<DeltaShardClient>> DeltaShardClient::Create(
 Result<ShardSearchResult> DeltaShardClient::Search(const JoinMIQuery& query,
                                                    size_t k,
                                                    size_t num_threads) const {
-  JOINMI_ASSIGN_OR_RETURN(ShardSearchResult merged,
-                          base_->Search(query, k, num_threads));
-  JOINMI_ASSIGN_OR_RETURN(ShardSearchResult delta,
-                          delta_->Search(query, k, num_threads));
-  merged.num_candidates += delta.num_candidates;
-  merged.num_evaluated += delta.num_evaluated;
-  merged.num_skipped += delta.num_skipped;
-  merged.num_errors += delta.num_errors;
+  std::vector<ShardSearchResult> sides(2);
+  JOINMI_ASSIGN_OR_RETURN(sides[0], base_->Search(query, k, num_threads));
+  JOINMI_ASSIGN_OR_RETURN(sides[1], delta_->Search(query, k, num_threads));
   // Each side's top-k is already selected under the global total order,
-  // so nothing the combined top-k could keep was dropped; re-sorting the
-  // union restores one ordered list.
-  merged.hits.reserve(merged.hits.size() + delta.hits.size());
-  for (ShardSearchHit& hit : delta.hits) {
-    merged.hits.push_back(std::move(hit));
-  }
-  std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
-  if (merged.hits.size() > k) merged.hits.resize(k);
-  return merged;
+  // so their merge is the overlay's top-k.
+  return MergeShardResults(std::move(sides), k);
 }
 
 const PagedShardClient* PagedBaseOf(const ShardClient& client) {

@@ -2,8 +2,8 @@
 // socket with whole-buffer read/write and per-direction timeouts, a
 // listener with poll-based interruptible accept, and a timeout-bounded
 // connect. POSIX-only, deliberately synchronous — the serving workloads
-// above this are one-request-at-a-time per connection, fanned out across a
-// ThreadPool, so blocking I/O with timeouts is simpler and no slower than
+// above this are one-request-at-a-time per connection, fanned out through
+// ParallelFor, so blocking I/O with timeouts is simpler and no slower than
 // an event loop at this scale.
 //
 // Error model matches the rest of the library: no exceptions, every
