@@ -74,23 +74,17 @@ void ParallelForOnExecutor(size_t n, size_t parallelism,
     std::mutex mutex;
     std::condition_variable all_done;
     size_t done = 0;
-    size_t error_index = 0;
-    std::exception_ptr error;
+    std::exception_ptr error;  // the first one captured
   };
   auto progress = std::make_shared<Progress>();
   auto drain = [progress, &fn, n] {
     size_t ran = 0;
-    size_t error_index = 0;
     std::exception_ptr error;
     for (size_t i; (i = progress->next.fetch_add(1)) < n; ++ran) {
       try {
         fn(i);
       } catch (...) {
-        // Claims rise, so a participant's first error is its lowest.
-        if (!error) {
-          error = std::current_exception();
-          error_index = i;
-        }
+        if (!error) error = std::current_exception();
       }
     }
     if (ran == 0) return;
@@ -98,10 +92,7 @@ void ParallelForOnExecutor(size_t n, size_t parallelism,
     progress->done += ran;
     // Exceptions move under the lock, so only the caller ever drops the
     // one it rethrows.
-    if (error && (!progress->error || error_index < progress->error_index)) {
-      progress->error = std::move(error);
-      progress->error_index = error_index;
-    }
+    if (error && !progress->error) progress->error = std::move(error);
     if (progress->done == n) progress->all_done.notify_all();
   };
   const size_t helpers = std::min(threads - 1, executor.num_threads());

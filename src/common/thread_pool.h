@@ -1,5 +1,6 @@
 // Fixed-size thread pool with future-returning task submission, and
-// ParallelFor, the process-wide executor every discovery fan-out runs on.
+// ParallelFor, the process-wide executor every CPU-bound discovery
+// fan-out runs on (work that waits on the network keeps off it).
 // The pool is deliberately minimal — a locked deque feeding N workers —
 // because the discovery workloads built on top of it are coarse-grained
 // (one task per strip of candidates or per shard), so queue contention is
@@ -96,9 +97,9 @@ void ParallelForOnExecutor(size_t n, size_t parallelism,
 /// ParallelFor nested inside `fn` finishes even when every worker is
 /// busy, because the caller alone can drain it. An exception from fn
 /// reaches the caller only once no item is still running; a pooled call
-/// runs the remaining items first and rethrows the lowest throwing
-/// index's exception. `parallelism` 1, or `n` <= 1, runs inline on the
-/// caller without touching the pool or the heap.
+/// runs the remaining items first and rethrows one of the exceptions.
+/// `parallelism` 1, or `n` <= 1, runs inline on the caller without
+/// touching the pool or the heap.
 template <typename Fn>
 void ParallelFor(size_t n, size_t parallelism, Fn&& fn) {
   if (parallelism == 1 || n <= 1) {

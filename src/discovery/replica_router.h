@@ -133,6 +133,7 @@ class ReplicaShardClient : public ShardClient {
   size_t num_candidates() const override {
     return static_cast<size_t>(num_candidates_);
   }
+  bool waits_on_network() const override { return true; }
 
   /// \brief Remote search with failover: tries replicas in ReplicaSet
   /// order, marking connect/IO failures down and moving on; returns the

@@ -35,6 +35,10 @@ bool Channel::broken() const {
 
 void Channel::MarkBroken(const Status& status) {
   std::lock_guard<std::mutex> lock(state_mutex_);
+  BreakLocked(status);
+}
+
+void Channel::BreakLocked(const Status& status) {
   if (broken_) return;
   broken_ = true;
   broken_status_ = status;
@@ -96,16 +100,6 @@ Result<net::Frame> Channel::Call(net::FrameType type,
 Result<net::Frame> Channel::CallV2(net::FrameType type,
                                    const std::string& payload,
                                    bool* reached_wire) {
-  // The reader notices a closed peer on its own schedule, which on a busy
-  // host can lag a server restart. A call that finds the channel idle
-  // probes too, so it is never sent into a connection the server already
-  // closed: nothing is sent yet, so the caller may retry on a fresh one.
-  if (in_flight_.load() == 1 && socket_.StaleForReuse()) {
-    const Status stale =
-        Status::IOError("connection went stale while idle (peer closed)");
-    MarkBroken(stale);
-    return stale;
-  }
   Pending pending;
   const uint64_t id = next_id_.fetch_add(1);
   {
@@ -113,6 +107,18 @@ Result<net::Frame> Channel::CallV2(net::FrameType type,
     if (broken_) {
       return Status::IOError("channel is broken: " +
                              broken_status_.message());
+    }
+    // The reader notices a closed peer on its own schedule, which on a
+    // busy host can lag a server restart. Each call probes too, so it is
+    // never sent into a connection the server already closed: nothing is
+    // sent yet, so the caller may retry on a fresh one. Buffered bytes
+    // (say, a late response to a timed-out call) are the reader's to
+    // frame. Probing under the lock that registers calls means no call
+    // registers, and sends, between the probe and the break.
+    if (socket_.PeerClosed()) {
+      const Status stale = Status::IOError("connection closed by peer");
+      BreakLocked(stale);
+      return stale;
     }
     pending_.emplace(id, &pending);
   }

@@ -11,10 +11,11 @@
 // the channel and fails every pending waiter with the same IOError.
 // Against a v1 server there is no request_id and no reader, so Call()
 // serializes send+receive under an exclusive mutex. Either way a call
-// that finds the channel idle first probes the socket
-// (Socket::StaleForReuse): a peer that closed since the last exchange
-// breaks the channel before any byte is sent, so the caller may retry on
-// a fresh one — even when a v2 reader has not yet seen the close.
+// first probes the socket (v1: Socket::StaleForReuse, as the channel is
+// idle; v2: Socket::PeerClosed, leaving buffered replies to the reader):
+// a peer that closed since the last exchange breaks the channel before
+// any byte is sent, so the caller may retry on a fresh one — even when a
+// v2 reader has not yet seen the close.
 //
 // A Channel also tracks which sketch digests this connection has uploaded
 // (EnsureSketchUploaded is once-per-digest, idempotent server-side), so a
@@ -78,8 +79,8 @@ class Channel {
   /// request byte left this process — the only signal a retry or
   /// failover policy may act on. IOError failures break the channel
   /// (pending and future calls fail deterministically), EXCEPT a
-  /// response timeout, which abandons only this call. On v1, a socket
-  /// found stale before sending fails the call un-sent.
+  /// response timeout, which abandons only this call. A socket found
+  /// closed (v1: or stale) before sending fails the call un-sent.
   Result<net::Frame> Call(net::FrameType type, const std::string& payload,
                           bool* reached_wire = nullptr);
 
@@ -107,6 +108,8 @@ class Channel {
   void ReaderLoop();
   /// Fails every pending waiter and poisons the channel.
   void MarkBroken(const Status& status);
+  /// MarkBroken with state_mutex_ already held.
+  void BreakLocked(const Status& status);
 
   net::Socket socket_;
   uint32_t version_ = 1;

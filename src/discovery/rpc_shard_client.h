@@ -134,6 +134,7 @@ class RpcShardClient : public ShardClient {
   size_t num_candidates() const override {
     return static_cast<size_t>(num_candidates_);
   }
+  bool waits_on_network() const override { return true; }
 
   /// \brief Remote search — byte-identical to LocalShardClient over the
   /// same shard. On v2 this is a one-variant batch against the

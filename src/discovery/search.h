@@ -31,9 +31,12 @@ namespace joinmi {
 
 /// \brief Execution knobs for the repository-scan TopKJoinMISearch.
 struct SearchConfig {
-  /// Most threads scoring candidates at once, on the shared ParallelFor
-  /// executor (thread_pool.h); 0 means hardware concurrency, 1 runs inline
-  /// on the caller. Rankings do not depend on this value.
+  /// Threads one fan-out level may use (ParallelFor's `parallelism`,
+  /// thread_pool.h); 0 means hardware concurrency, 1 runs inline on the
+  /// caller. A sharded search applies it to the shard fan-out and again to
+  /// each shard's candidate fan-out, so total concurrency is bounded by
+  /// the shared executor's size, not by this value. Rankings do not
+  /// depend on it.
   size_t num_threads = 0;
   /// Per-query sketching/estimation configuration.
   JoinMIConfig join_config;

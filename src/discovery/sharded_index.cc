@@ -1,8 +1,10 @@
 #include "src/discovery/sharded_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <utility>
 
 #include "src/common/hashing.h"
@@ -36,6 +38,30 @@ std::string ResolveShardPath(const ShardManifestEntry& entry,
   return entry_path.is_absolute()
              ? entry.path
              : (std::filesystem::path(manifest_dir) / entry_path).string();
+}
+
+// Runs fn(i) once for every i in [0, n) on the caller plus up to
+// min(parallelism, n) - 1 threads started for this call alone
+// (parallelism 0 = ThreadPool::DefaultThreadCount()). For shards behind
+// the network, which wait rather than compute: on the shared executor
+// they would hold its fixed workers, so concurrent callers' waits would
+// queue behind one another and a stalled replica would hold a worker
+// that scoring needs. std::async futures join their threads when
+// destroyed, on exception paths too; get() forwards a thread's exception.
+template <typename Fn>
+void RunOnOwnThreads(size_t n, size_t parallelism, Fn& fn) {
+  const size_t threads = std::min(
+      parallelism == 0 ? ThreadPool::DefaultThreadCount() : parallelism, n);
+  std::atomic<size_t> next{0};
+  auto drain = [&next, &fn, n] {
+    for (size_t i; (i = next.fetch_add(1)) < n;) fn(i);
+  };
+  std::vector<std::future<void>> waiters;
+  for (size_t t = 1; t < threads; ++t) {
+    waiters.push_back(std::async(std::launch::async, drain));
+  }
+  drain();
+  for (std::future<void>& waiter : waiters) waiter.get();
 }
 
 }  // namespace
@@ -303,10 +329,7 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
   const size_t num_shards = clients_.size();
   std::vector<std::vector<ShardSearchResult>> per_shard(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  // One item per shard on the shared executor. A local shard's own
-  // candidate fan-out nests inside its item, so it gets the same thread
-  // budget: the executor's fixed size is what bounds total concurrency.
-  ParallelFor(num_shards, num_threads, [&](size_t s) {
+  auto run_shard = [&](size_t s) {
     auto result = clients_[s]->SearchVariants(query, variants, num_threads);
     if (result.ok() && result->size() != variants.size()) {
       statuses[s] = Status::IOError(
@@ -318,7 +341,20 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
     } else {
       statuses[s] = result.status();
     }
-  });
+  };
+  const bool on_network =
+      std::any_of(clients_.begin(), clients_.end(),
+                  [](const std::unique_ptr<ShardClient>& client) {
+                    return client->waits_on_network();
+                  });
+  if (on_network) {
+    RunOnOwnThreads(num_shards, num_threads, run_shard);
+  } else {
+    // One item per shard on the shared executor. A local shard's own
+    // candidate fan-out nests inside its item, so it gets the same thread
+    // budget: the executor's fixed size is what bounds total concurrency.
+    ParallelFor(num_shards, num_threads, run_shard);
+  }
   // A shard fails or answers the whole batch, so strict mode fails
   // everything on the first bad shard (in shard order, so errors are
   // deterministic too) and degraded mode drops that shard from every

@@ -117,6 +117,11 @@ class ShardClient {
   /// \brief Candidates this shard holds.
   virtual size_t num_candidates() const = 0;
 
+  /// \brief True when Search waits on another process instead of
+  /// computing here; the sharded fan-out then runs it on a thread of the
+  /// call's own rather than on a shared executor worker.
+  virtual bool waits_on_network() const { return false; }
+
   /// \brief This shard's top-k for the query, ordered by
   /// (MI desc, global index asc). `num_threads` 0 = hardware concurrency.
   virtual Result<ShardSearchResult> Search(const JoinMIQuery& query,
@@ -235,7 +240,9 @@ class ShardedSketchIndex : public Searchable {
 
   /// \brief Batched fan-out: every variant against every shard, one
   /// ParallelFor item per shard (`num_threads` 0 = hardware concurrency,
-  /// 1 = inline), merged per variant by MergeShardResults. result[i] is
+  /// 1 = inline), merged per variant by MergeShardResults. Shards that
+  /// wait on the network run on threads of the call's own instead, so
+  /// they hold no worker of the shared executor. result[i] is
   /// bit-identical to Search over a query rebuilt with variants[i]'s
   /// min_join_size — over RPC the sketch crosses the wire once per
   /// connection instead of once per (variant, shard). A shard fails or

@@ -118,6 +118,12 @@ Status Socket::ReadExact(void* data, size_t len) {
 }
 
 bool Socket::StaleForReuse() const {
+  if (PeerClosed()) return true;
+  char byte;  // unsolicited bytes on an idle connection: framing is unsafe
+  return ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+}
+
+bool Socket::PeerClosed() const {
   if (!valid()) return true;
   struct pollfd pfd;
   pfd.fd = fd_;
@@ -127,14 +133,11 @@ bool Socket::StaleForReuse() const {
   if (ready < 0) return true;
   if (ready == 0) return false;  // idle and healthy
   if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) return true;
-  if ((pfd.revents & POLLIN) != 0) {
-    char byte;
-    const ssize_t n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-    if (n == 0) return true;   // orderly FIN
-    if (n > 0) return true;    // unsolicited bytes: framing is unsafe
-    return errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
-  }
-  return false;
+  if ((pfd.revents & POLLIN) == 0) return false;
+  char byte;
+  const ssize_t n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  if (n >= 0) return n == 0;  // an orderly FIN; buffered bytes are no close
+  return errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
 }
 
 Result<Socket> Socket::Connect(const std::string& host, uint16_t port,

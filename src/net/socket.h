@@ -71,6 +71,12 @@ class Socket {
   /// of failing one request per stale connection.
   bool StaleForReuse() const;
 
+  /// \brief Zero-timeout probe for a closed or failed connection: peer
+  /// close (FIN) or socket error only. Unlike StaleForReuse, readable
+  /// bytes do not count, so a socket whose reads belong to another thread
+  /// can be probed without judging its traffic.
+  bool PeerClosed() const;
+
   /// \brief Opens a TCP connection to host:port, bounding the connect
   /// itself by `connect_timeout_ms` (the returned socket has no I/O
   /// timeouts set; call SetTimeouts). `host` is a numeric address or name.

@@ -1086,6 +1086,52 @@ TEST(ChannelSetTest, StaleV1ChannelFailsUnsentAndIsReplaced) {
   EXPECT_EQ(set.live_channels(), 1u);
 }
 
+TEST(ChannelSetTest, LateReplyToATimedOutV2CallLeavesTheChannelHealthy) {
+  // A v2 reply that arrives after its caller timed out is the reader's to
+  // drop by id. A call made while that reply still sits in the socket
+  // buffer neither breaks the channel nor fails.
+  auto pair = ConnectedPair();
+  net::Socket server = std::move(pair.second);
+  ASSERT_TRUE(server.SetTimeouts(2000, 2000).ok());
+  rpc::Channel channel(std::move(pair.first), 2, /*io_timeout_ms=*/50,
+                       nullptr);
+  for (int round = 0; round < 20; ++round) {
+    auto timed_out = channel.Call(net::FrameType::kHealthRequest, "");
+    ASSERT_FALSE(timed_out.ok());
+    auto late = net::RecvFrame(&server);
+    ASSERT_TRUE(late.ok()) << late.status();
+    std::thread responder([&server] {
+      auto request = net::RecvFrame(&server);
+      if (request.ok()) {
+        (void)net::SendFrameV2(&server, net::FrameType::kHealthResponse,
+                               request->request_id, "");
+      }
+    });
+    // The late reply lands just before the next call probes the socket.
+    ASSERT_TRUE(net::SendFrameV2(&server, net::FrameType::kHealthResponse,
+                                 late->request_id, "")
+                    .ok());
+    auto reply = channel.Call(net::FrameType::kHealthRequest, "");
+    responder.join();
+    ASSERT_TRUE(reply.ok()) << "round " << round << ": " << reply.status();
+    EXPECT_EQ(reply->type, net::FrameType::kHealthResponse);
+    EXPECT_FALSE(channel.broken());
+  }
+}
+
+TEST(ChannelSetTest, ClosedV2PeerFailsTheNextCallUnsent) {
+  auto pair = ConnectedPair();
+  rpc::Channel channel(std::move(pair.first), 2, 1000, nullptr);
+  pair.second.Close();  // the server restarts
+  bool reached_wire = false;
+  auto reply = channel.Call(net::FrameType::kHealthRequest, "",
+                            &reached_wire);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(reply.status().IsIOError()) << reply.status();
+  EXPECT_FALSE(reached_wire);
+  EXPECT_TRUE(channel.broken());
+}
+
 TEST(RpcShardTest, BatchedVariantsBitIdenticalAcrossShardsAndPolicies) {
   // One sketch upload, one batch frame per shard, many (k, min_join_size)
   // variants — each element must equal both the local batched answer and

@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/thread_pool.h"
 #include "src/discovery/search.h"
 #include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
@@ -703,6 +709,99 @@ TEST(ShardedSketchIndexTest, DegradedModeMergesHealthyShardsOnly) {
     }
     EXPECT_FALSE(degraded->hits.empty());
   }
+  std::filesystem::remove_all(dir);
+}
+
+namespace network_shards {
+
+/// A ShardClient standing in for a shard server: Search waits until
+/// `expected` searches are in flight at once, or fails after 2 s.
+class RendezvousShardClient : public ShardClient {
+ public:
+  struct Meeting {
+    std::mutex mutex;
+    std::condition_variable all_arrived;
+    size_t arrived = 0;
+    size_t expected = 0;
+  };
+  RendezvousShardClient(JoinMIConfig config, size_t num_candidates,
+                        Meeting* meeting)
+      : config_(std::move(config)),
+        num_candidates_(num_candidates),
+        meeting_(meeting) {}
+  const JoinMIConfig& config() const override { return config_; }
+  size_t num_candidates() const override { return num_candidates_; }
+  bool waits_on_network() const override { return true; }
+  Result<ShardSearchResult> Search(const JoinMIQuery&, size_t,
+                                   size_t) const override {
+    std::unique_lock<std::mutex> lock(meeting_->mutex);
+    ++meeting_->arrived;
+    meeting_->all_arrived.notify_all();
+    if (!meeting_->all_arrived.wait_for(
+            lock, std::chrono::seconds(2),
+            [this] { return meeting_->arrived >= meeting_->expected; })) {
+      return Status::IOError("shard searches did not overlap");
+    }
+    ShardSearchResult result;
+    result.num_candidates = num_candidates_;
+    return result;
+  }
+
+ private:
+  JoinMIConfig config_;
+  size_t num_candidates_;
+  Meeting* meeting_;
+};
+
+}  // namespace network_shards
+
+TEST(ShardedSketchIndexTest, NetworkShardsOverlapWhileTheExecutorIsBusy) {
+  // Shards behind the network wait on threads of the call's own, not on
+  // the shared executor: with every executor worker held, three remote
+  // shard searches still run at once.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  const std::string dir = ScratchDir("network_shards");
+  auto manifest_path =
+      BuildShards(index, 3, ShardPartitionPolicy::kRoundRobin, dir);
+  ASSERT_TRUE(manifest_path.ok());
+  auto manifest = ReadManifestFile(*manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  network_shards::RendezvousShardClient::Meeting meeting;
+  meeting.expected = manifest->shards.size();
+  std::vector<std::unique_ptr<ShardClient>> clients;
+  for (const ShardManifestEntry& entry : manifest->shards) {
+    clients.push_back(
+        std::make_unique<network_shards::RendezvousShardClient>(
+            MakeIndexConfig(), entry.candidate_count, &meeting));
+  }
+  auto sharded = ShardedSketchIndex::Create(*manifest, std::move(clients));
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  auto query =
+      JoinMIQuery::Create(*universe.base, "K", "Y", MakeIndexConfig());
+  ASSERT_TRUE(query.ok());
+
+  // Hold every executor worker (and this helper thread) until released.
+  const size_t holders = ThreadPool::DefaultThreadCount() + 1;
+  std::atomic<size_t> holding{0};
+  std::atomic<bool> release{false};
+  std::thread occupier([&] {
+    ParallelFor(holders, holders, [&](size_t) {
+      holding.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (holding.load() < holders) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto result = sharded->Search(*query, 5, 3);
+  release.store(true);
+  occupier.join();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->num_candidates, index.size());
   std::filesystem::remove_all(dir);
 }
 

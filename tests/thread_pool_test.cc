@@ -148,7 +148,7 @@ TEST(ParallelForTest, NestedCallsComplete) {
   }
 }
 
-TEST(ParallelForTest, LowestThrowReachesTheCallerAfterEveryItemReturned) {
+TEST(ParallelForTest, ThrowReachesTheCallerAfterEveryItemReturned) {
   for (size_t parallelism : {0u, 1u, 2u, 64u}) {
     const size_t n = 200;
     std::atomic<size_t> returned{0};
@@ -162,15 +162,17 @@ TEST(ParallelForTest, LowestThrowReachesTheCallerAfterEveryItemReturned) {
       });
     } catch (const std::runtime_error& error) {
       caught = true;
-      EXPECT_STREQ(error.what(), "item 37 failed");
+      const std::string what = error.what();
+      EXPECT_TRUE(what == "item 37 failed" || what == "item 150 failed")
+          << what;
     }
     EXPECT_TRUE(caught) << "parallelism=" << parallelism;
     const size_t threads =
         parallelism == 0 ? ThreadPool::DefaultThreadCount() : parallelism;
     if (threads > 1) {
       // Pooled: the other items still ran, and all had returned by the
-      // time the lowest index's exception reached the caller. Inline, the
-      // first throw simply unwinds the loop.
+      // time an exception reached the caller. Inline, the first throw
+      // simply unwinds the loop.
       EXPECT_EQ(returned.load(), n - 2) << "parallelism=" << parallelism;
     }
   }
