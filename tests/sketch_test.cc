@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/random.h"
+#include "src/common/thread_pool.h"
 #include "src/join/left_join.h"
 #include "src/sketch/builder.h"
 #include "src/sketch/key_hash.h"
+#include "src/sketch/serialize.h"
 #include "src/sketch/sketch_join.h"
 
 namespace joinmi {
@@ -800,6 +805,267 @@ TEST(SketchJoinTest, MatchedKeysDistinctEvenForUnsortedTrainSketch) {
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->join_size, 3u);
   EXPECT_EQ(joined->matched_keys, 2u);
+}
+
+// ------------------------------------------------ Golden byte identity ---
+
+// Sketch inputs covering every key type the builders hash, with the edge
+// cells (empty and long strings, extreme integers, signed zeros, NaN,
+// infinities) and null keys and values.
+struct GoldenInput {
+  const char* name;
+  std::shared_ptr<Column> keys;
+  std::shared_ptr<Column> values;
+};
+
+std::vector<GoldenInput> GoldenInputs() {
+  constexpr size_t kRows = 240;
+  Rng rng(20240611);
+  // Skewed key ids: small ids repeat often, large ones rarely.
+  std::vector<uint64_t> ids(kRows);
+  for (uint64_t& id : ids) id = rng.NextBounded(rng.NextBounded(60) + 1);
+  std::vector<bool> key_valid(kRows), value_valid(kRows);
+  for (size_t row = 0; row < kRows; ++row) {
+    key_valid[row] = row % 17 != 5;
+    value_valid[row] = row % 23 != 7;
+  }
+  const std::string long_key(40, 'x');
+  std::vector<std::string> string_keys, string_values;
+  std::vector<int64_t> int_keys, int_values;
+  std::vector<double> double_keys, double_values;
+  for (size_t row = 0; row < kRows; ++row) {
+    const uint64_t id = ids[row];
+    switch (id) {
+      case 0: string_keys.push_back(""); break;
+      case 1: string_keys.push_back("a"); break;
+      case 2: string_keys.push_back(long_key); break;
+      default:
+        string_keys.push_back(id % 2 == 0 ? "key-" + std::to_string(id)
+                                          : long_key + std::to_string(id));
+    }
+    switch (id) {
+      case 0: int_keys.push_back(std::numeric_limits<int64_t>::min()); break;
+      case 1: int_keys.push_back(std::numeric_limits<int64_t>::max()); break;
+      case 2: int_keys.push_back((int64_t{1} << 53) + 1); break;
+      case 3: int_keys.push_back(0); break;
+      case 4: int_keys.push_back(-1); break;
+      default: int_keys.push_back(static_cast<int64_t>(id) * 7919 - 100000);
+    }
+    switch (id) {
+      case 0: double_keys.push_back(0.0); break;
+      case 1: double_keys.push_back(-0.0); break;
+      case 2: double_keys.push_back(std::nan("")); break;
+      case 3: double_keys.push_back(std::numeric_limits<double>::infinity());
+        break;
+      case 4: double_keys.push_back(-std::numeric_limits<double>::infinity());
+        break;
+      default: double_keys.push_back(static_cast<double>(id) * 0.25 - 3.0);
+    }
+    int_values.push_back(static_cast<int64_t>(rng.NextBounded(9)) - 4);
+    double_values.push_back(rng.Uniform(-2.0, 2.0));
+    string_values.push_back(row % 5 == 0   ? ""
+                            : row % 5 == 1 ? long_key + std::to_string(row)
+                                           : "v" + std::to_string(row % 7));
+  }
+  return {
+      {"string", Column::MakeString(string_keys, key_valid),
+       Column::MakeInt64(int_values, value_valid)},
+      {"int64", Column::MakeInt64(int_keys, key_valid),
+       Column::MakeDouble(double_values, value_valid)},
+      {"double", Column::MakeDouble(double_keys, key_valid),
+       Column::MakeInt64(int_values, value_valid)},
+      {"string_values", Column::MakeString(string_keys, key_valid),
+       Column::MakeString(string_values, value_valid)},
+  };
+}
+
+/// Distinct keys over rows with a non-null key and value, counted by
+/// Column::CountDistinct (Value hashing, not the sketch key hash).
+size_t DistinctUsableKeys(const Column& keys, const Column& values) {
+  std::vector<size_t> usable;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (keys.IsValid(row) && values.IsValid(row)) usable.push_back(row);
+  }
+  return (*keys.Take(usable))->CountDistinct();
+}
+
+struct GoldenSketch {
+  const char* id;
+  uint64_t checksum;
+  size_t source_rows;
+  size_t source_distinct_keys;
+};
+
+// Captured from the two-pass builders these replaced; a change to any
+// builder must leave every serialized sketch byte-identical.
+constexpr GoldenSketch kGoldenSketches[] = {
+    {"TUPSK/train/string/16", 0x51e656f878e41174ULL, 215, 49},
+    {"TUPSK/first/string/16", 0x3a9065654219c4ecULL, 215, 49},
+    {"TUPSK/avg/string/16", 0x1af3844224131dfaULL, 215, 49},
+    {"TUPSK/train/string/1000", 0x41f43f16085a911fULL, 215, 49},
+    {"TUPSK/first/string/1000", 0x01029aad6f14cfb1ULL, 215, 49},
+    {"TUPSK/avg/string/1000", 0x39285ec805a0b0ffULL, 215, 49},
+    {"LV2SK/train/string/16", 0x61fbc6090c23d8b5ULL, 215, 49},
+    {"LV2SK/first/string/16", 0x107fb9aa92c8bdc5ULL, 215, 49},
+    {"LV2SK/avg/string/16", 0x1a6940da7308d97cULL, 215, 49},
+    {"LV2SK/train/string/1000", 0x20083403752414b2ULL, 215, 49},
+    {"LV2SK/first/string/1000", 0x837204cc01debc2dULL, 215, 49},
+    {"LV2SK/avg/string/1000", 0x2681d2515529211bULL, 215, 49},
+    {"PRISK/train/string/16", 0x935f4b92b88a1550ULL, 215, 49},
+    {"PRISK/first/string/16", 0x394e92e79cde797aULL, 215, 49},
+    {"PRISK/avg/string/16", 0x7ea1b20477338ebbULL, 215, 49},
+    {"PRISK/train/string/1000", 0xe530dd92eae3cef7ULL, 215, 49},
+    {"PRISK/first/string/1000", 0xd6d955be9549d000ULL, 215, 49},
+    {"PRISK/avg/string/1000", 0x59590a8aeaab92baULL, 215, 49},
+    {"INDSK/train/string/16", 0xc8e1e7afc1c36c64ULL, 215, 49},
+    {"INDSK/first/string/16", 0x29f2017ebba74a30ULL, 215, 49},
+    {"INDSK/avg/string/16", 0x179da0750804bf59ULL, 215, 49},
+    {"INDSK/train/string/1000", 0x82172605ae0ac767ULL, 215, 49},
+    {"INDSK/first/string/1000", 0x4fe048e554264058ULL, 215, 49},
+    {"INDSK/avg/string/1000", 0x3ed2c3a6deb1d74eULL, 215, 49},
+    {"CSK/train/string/16", 0x26eb49c64c99cb6fULL, 215, 49},
+    {"CSK/first/string/16", 0x2866a836f05e8c00ULL, 215, 49},
+    {"CSK/avg/string/16", 0x2866a836f05e8c00ULL, 215, 49},
+    {"CSK/train/string/1000", 0x7bc113e58c46993bULL, 215, 49},
+    {"CSK/first/string/1000", 0x410a7aabda47e83aULL, 215, 49},
+    {"CSK/avg/string/1000", 0x410a7aabda47e83aULL, 215, 49},
+    {"TUPSK/train/int64/16", 0x72e27e2e16fabac2ULL, 215, 49},
+    {"TUPSK/first/int64/16", 0xb602db620893ba80ULL, 215, 49},
+    {"TUPSK/avg/int64/16", 0x2cb74ebb7d366eedULL, 215, 49},
+    {"TUPSK/train/int64/1000", 0x3fb484ae2e11e638ULL, 215, 49},
+    {"TUPSK/first/int64/1000", 0xf26ec7160d79a84dULL, 215, 49},
+    {"TUPSK/avg/int64/1000", 0x2bc6d6bca6e9a98fULL, 215, 49},
+    {"LV2SK/train/int64/16", 0x6709b66d8fd8be12ULL, 215, 49},
+    {"LV2SK/first/int64/16", 0xc234a71a56570a14ULL, 215, 49},
+    {"LV2SK/avg/int64/16", 0xf0beff213128a066ULL, 215, 49},
+    {"LV2SK/train/int64/1000", 0x3b38531f15681986ULL, 215, 49},
+    {"LV2SK/first/int64/1000", 0xcee5108822ac1a8fULL, 215, 49},
+    {"LV2SK/avg/int64/1000", 0x9a2c6e10fb39b369ULL, 215, 49},
+    {"PRISK/train/int64/16", 0x58a676c85285e70eULL, 215, 49},
+    {"PRISK/first/int64/16", 0x2cd01e056453a41bULL, 215, 49},
+    {"PRISK/avg/int64/16", 0x23ffe547922251cdULL, 215, 49},
+    {"PRISK/train/int64/1000", 0xbc47cc8e22d774eeULL, 215, 49},
+    {"PRISK/first/int64/1000", 0x9281e8d945b30792ULL, 215, 49},
+    {"PRISK/avg/int64/1000", 0x417dafa5571a8d44ULL, 215, 49},
+    {"INDSK/train/int64/16", 0x41daa71cee1c3b24ULL, 215, 49},
+    {"INDSK/first/int64/16", 0x2ac2d08980214abcULL, 215, 49},
+    {"INDSK/avg/int64/16", 0xdf69332cf5fb27d8ULL, 215, 49},
+    {"INDSK/train/int64/1000", 0xbdfdc865536ca162ULL, 215, 49},
+    {"INDSK/first/int64/1000", 0xb75c5009e1db1cf6ULL, 215, 49},
+    {"INDSK/avg/int64/1000", 0x24e14199886c79b0ULL, 215, 49},
+    {"CSK/train/int64/16", 0x98a0d5b7202a0c7aULL, 215, 49},
+    {"CSK/first/int64/16", 0x72849607a901cb35ULL, 215, 49},
+    {"CSK/avg/int64/16", 0x72849607a901cb35ULL, 215, 49},
+    {"CSK/train/int64/1000", 0x04955d300d28136dULL, 215, 49},
+    {"CSK/first/int64/1000", 0x3fa1f4bfcb2f586cULL, 215, 49},
+    {"CSK/avg/int64/1000", 0x3fa1f4bfcb2f586cULL, 215, 49},
+    {"TUPSK/train/double/16", 0x6476c0822f459f70ULL, 215, 47},
+    {"TUPSK/first/double/16", 0xc3451758ce7b85c5ULL, 215, 47},
+    {"TUPSK/avg/double/16", 0x533efa0e1ce3291cULL, 215, 47},
+    {"TUPSK/train/double/1000", 0x8c091cd6d5d0e58fULL, 215, 47},
+    {"TUPSK/first/double/1000", 0x589cf5995f6badebULL, 215, 47},
+    {"TUPSK/avg/double/1000", 0x923506bf87eba500ULL, 215, 47},
+    {"LV2SK/train/double/16", 0x6d79fcf8400c725fULL, 215, 47},
+    {"LV2SK/first/double/16", 0x80f8231ebbd3c320ULL, 215, 47},
+    {"LV2SK/avg/double/16", 0x57eb92aafe5ba87eULL, 215, 47},
+    {"LV2SK/train/double/1000", 0xae441ff373934f47ULL, 215, 47},
+    {"LV2SK/first/double/1000", 0xd5b1a496722af68cULL, 215, 47},
+    {"LV2SK/avg/double/1000", 0x72eef94b047ee1a7ULL, 215, 47},
+    {"PRISK/train/double/16", 0x26d8fc45101f322bULL, 215, 47},
+    {"PRISK/first/double/16", 0xb012881f7e595653ULL, 215, 47},
+    {"PRISK/avg/double/16", 0x8214dc167f4a4f7dULL, 215, 47},
+    {"PRISK/train/double/1000", 0xf373b617f4cd9b68ULL, 215, 47},
+    {"PRISK/first/double/1000", 0x73b9ae9a60389d2dULL, 215, 47},
+    {"PRISK/avg/double/1000", 0x3b666952fe353ebeULL, 215, 47},
+    {"INDSK/train/double/16", 0x85a9e97e7dd1532aULL, 215, 47},
+    {"INDSK/first/double/16", 0x02153420b05d436aULL, 215, 47},
+    {"INDSK/avg/double/16", 0x533e7b407c3cde31ULL, 215, 47},
+    {"INDSK/train/double/1000", 0xf7a82f58dfa2ba3aULL, 215, 47},
+    {"INDSK/first/double/1000", 0xea3d860285a29a25ULL, 215, 47},
+    {"INDSK/avg/double/1000", 0x0e56994c959d2116ULL, 215, 47},
+    {"CSK/train/double/16", 0xd601f18c99b69632ULL, 215, 47},
+    {"CSK/first/double/16", 0xc9813a8018a962f9ULL, 215, 47},
+    {"CSK/avg/double/16", 0xc9813a8018a962f9ULL, 215, 47},
+    {"CSK/train/double/1000", 0x1b6987c7ea67bcfaULL, 215, 47},
+    {"CSK/first/double/1000", 0x2a3102fb9487128fULL, 215, 47},
+    {"CSK/avg/double/1000", 0x2a3102fb9487128fULL, 215, 47},
+    {"TUPSK/train/string_values/16", 0x931d336ba2cc2fbeULL, 215, 49},
+    {"TUPSK/first/string_values/16", 0x462a07dcae3ac192ULL, 215, 49},
+    {"TUPSK/train/string_values/1000", 0x2f3cf3e366bd0317ULL, 215, 49},
+    {"TUPSK/first/string_values/1000", 0x205bcffb903288e1ULL, 215, 49},
+    {"LV2SK/train/string_values/16", 0x94c193aeb225197aULL, 215, 49},
+    {"LV2SK/first/string_values/16", 0x35cc89715d330f37ULL, 215, 49},
+    {"LV2SK/train/string_values/1000", 0x287c23a50b8e921cULL, 215, 49},
+    {"LV2SK/first/string_values/1000", 0x3c4845f4c7ee7bd3ULL, 215, 49},
+    {"PRISK/train/string_values/16", 0x8bdf13e70f1e0069ULL, 215, 49},
+    {"PRISK/first/string_values/16", 0x6c93a67a5b00f2a4ULL, 215, 49},
+    {"PRISK/train/string_values/1000", 0x0a9d2b1ceee58bebULL, 215, 49},
+    {"PRISK/first/string_values/1000", 0x3306083ea68a04f8ULL, 215, 49},
+    {"INDSK/train/string_values/16", 0x3403accafe5e0b63ULL, 215, 49},
+    {"INDSK/first/string_values/16", 0x9ebff5296ff06e25ULL, 215, 49},
+    {"INDSK/train/string_values/1000", 0x42d51939ac999fb1ULL, 215, 49},
+    {"INDSK/first/string_values/1000", 0x753c6961ad50e8b4ULL, 215, 49},
+    {"CSK/train/string_values/16", 0x7eec5921da305d51ULL, 215, 49},
+    {"CSK/first/string_values/16", 0x1cfce393b1bea5e2ULL, 215, 49},
+    {"CSK/train/string_values/1000", 0x8c616a3a791cc6a9ULL, 215, 49},
+    {"CSK/first/string_values/1000", 0x548ac9338210c8faULL, 215, 49},
+};
+
+TEST(GoldenSketchTest, SerializedSketchesAreByteIdentical) {
+  std::unordered_map<std::string, GoldenSketch> expected;
+  for (const GoldenSketch& golden : kGoldenSketches) {
+    expected.emplace(golden.id, golden);
+  }
+  size_t checked = 0;
+  std::string mismatches;
+  for (const GoldenInput& input : GoldenInputs()) {
+    for (SketchMethod method : kAllMethods) {
+      for (size_t capacity : {size_t{16}, size_t{1000}}) {
+        SketchOptions options = Options(capacity);
+        options.hash_seed = 7;
+        auto builder = MakeSketchBuilder(method, options);
+        std::vector<std::pair<std::string, Result<Sketch>>> built;
+        built.emplace_back("train",
+                           builder->SketchTrain(*input.keys, *input.values));
+        built.emplace_back("first",
+                           builder->SketchCandidate(*input.keys, *input.values,
+                                                    AggKind::kFirst));
+        if (IsNumeric(input.values->type())) {
+          built.emplace_back("avg", builder->SketchCandidate(
+                                        *input.keys, *input.values,
+                                        AggKind::kAvg));
+        }
+        for (auto& [side, sketch] : built) {
+          const std::string id = std::string(SketchMethodToString(method)) +
+                                 "/" + side + "/" + input.name + "/" +
+                                 std::to_string(capacity);
+          ASSERT_TRUE(sketch.ok()) << id << ": " << sketch.status();
+          // Independent oracle for the distinct-key count.
+          EXPECT_EQ(sketch->source_distinct_keys,
+                    DistinctUsableKeys(*input.keys, *input.values))
+              << id;
+          const uint64_t checksum =
+              wire::Checksum64(SerializeSketch(*sketch));
+          auto it = expected.find(id);
+          if (it == expected.end() || it->second.checksum != checksum ||
+              it->second.source_rows != sketch->source_rows ||
+              it->second.source_distinct_keys !=
+                  sketch->source_distinct_keys) {
+            char line[160];
+            std::snprintf(line, sizeof(line),
+                          "    {\"%s\", 0x%016" PRIx64 "ULL, %zu, %zu},\n",
+                          id.c_str(), checksum, sketch->source_rows,
+                          sketch->source_distinct_keys);
+            mismatches += line;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, expected.size());
+  EXPECT_TRUE(mismatches.empty()) << "sketches differ from golden:\n"
+                                  << mismatches;
 }
 
 }  // namespace
