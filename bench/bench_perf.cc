@@ -158,7 +158,7 @@ void BM_SelectionKmvHeap(benchmark::State& state) {
     e.rank = rng.NextDouble();
   }
   for (auto _ : state) {
-    KmvHeap heap(n);
+    KmvHeap heap(n, entries.size());
     for (const auto& e : entries) {
       if (heap.WouldAdmit(e.rank)) heap.Offer(e);
     }

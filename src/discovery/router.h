@@ -140,7 +140,10 @@ class Router : public Searchable {
                                        ShardQueryMode mode) const override;
 
   /// \brief Convenience: sketch `base` under the deployment's config and
-  /// search — the free TopKJoinMISearch over this router.
+  /// search — the free TopKJoinMISearch over this router. The result cache
+  /// is keyed on the digest of the serialized train sketch, so every call
+  /// builds that sketch first: a cache hit saves the fan-out, probe and
+  /// estimate, not the sketch.
   Result<TopKSearchResult> Search(const Table& base, const SearchSpec& spec,
                                   size_t k,
                                   ShardQueryMode mode = ShardQueryMode::kStrict)

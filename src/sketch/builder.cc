@@ -1,7 +1,5 @@
 #include "src/sketch/builder.h"
 
-#include <unordered_set>
-
 #include "src/sketch/key_hash.h"
 
 namespace joinmi {
@@ -20,14 +18,6 @@ Result<Sketch> SketchBuilder::InitSketch(const Column& keys,
   sketch.side = side;
   sketch.capacity = options_.capacity;
   sketch.hash_seed = options_.hash_seed;
-  std::unordered_set<uint64_t> distinct;
-  distinct.reserve(keys.size());
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    ++sketch.source_rows;
-    distinct.insert(HashKey(keys.GetValue(row), options_.hash_seed));
-  }
-  sketch.source_distinct_keys = distinct.size();
   return sketch;
 }
 
@@ -39,11 +29,12 @@ Result<Sketch> SketchBuilder::SketchCandidate(const Column& keys,
   JOINMI_ASSIGN_OR_RETURN(
       auto aggregated,
       AggregateByKey(keys, values, agg, options_.hash_seed));
+  SetSourceCounts(aggregated, &sketch);
   // Aggregation leaves unique keys, so every coordinated method reduces to
   // KMV over the method's key rank (the paper's observation that the
   // candidate-side selection probability is uniform because m_K = N after
   // aggregation).
-  KmvHeap heap(options_.capacity);
+  KmvHeap heap(options_.capacity, aggregated.size());
   for (const AggregatedKey& entry : aggregated) {
     const double rank = CandidateRank(entry.key_hash);
     if (!heap.WouldAdmit(rank)) continue;
@@ -51,6 +42,15 @@ Result<Sketch> SketchBuilder::SketchCandidate(const Column& keys,
   }
   sketch.entries = heap.TakeSorted();
   return sketch;
+}
+
+void SketchBuilder::SetSourceCounts(
+    const std::vector<AggregatedKey>& aggregated, Sketch* sketch) {
+  sketch->source_rows = 0;
+  for (const AggregatedKey& entry : aggregated) {
+    sketch->source_rows += entry.frequency;
+  }
+  sketch->source_distinct_keys = aggregated.size();
 }
 
 double SketchBuilder::CandidateRank(uint64_t key_hash) const {

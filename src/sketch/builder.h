@@ -50,9 +50,16 @@ class SketchBuilder {
  protected:
   explicit SketchBuilder(SketchOptions options) : options_(options) {}
 
-  /// \brief Validates paired columns and counts usable rows/distinct keys.
+  /// \brief Validates paired columns and fills the sketch's metadata. The
+  /// builder's own single pass over the rows sets source_rows and
+  /// source_distinct_keys.
   Result<Sketch> InitSketch(const Column& keys, const Column& values,
                             SketchSide side) const;
+
+  /// \brief source_rows and source_distinct_keys from AggregateByKey's
+  /// output, which already counted them in its pass.
+  static void SetSourceCounts(const std::vector<AggregatedKey>& aggregated,
+                              Sketch* sketch);
 
   /// \brief Rank used for candidate-side key selection. Must match the
   /// train side's key rank for sample coordination: h_u(h(k)) for the

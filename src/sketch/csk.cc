@@ -5,10 +5,9 @@
 // (Section V "Sketching Methods") — on both sides, i.e. no aggregation
 // semantics are applied.
 
-#include <unordered_set>
-
 #include "src/sketch/builder.h"
 #include "src/sketch/key_hash.h"
+#include "src/sketch/key_table.h"
 
 namespace joinmi {
 
@@ -21,17 +20,17 @@ Result<Sketch> FirstValuePerKeyKmv(const SketchBuilder& builder,
   // KMV over distinct keys; the first row seen for a key supplies its value.
   // Later rows with the same key are ignored entirely (CSK assumes unique
   // or aggregatable keys).
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(keys.size());
-  KmvHeap heap(options.capacity);
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
-    if (!seen.insert(key_hash).second) continue;  // repeated key: keep first
-    const double rank = KeyUnitHash(key_hash);
-    if (!heap.WouldAdmit(rank)) continue;
-    heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
-  }
+  internal::KeyTable table;
+  KmvHeap heap(options.capacity, keys.size());
+  sketch.source_rows = internal::ScanKeyedRows(
+      keys, values, options.hash_seed, &table,
+      [&](size_t row, uint64_t key_hash, size_t /*id*/, bool first) {
+        if (!first) return;  // repeated key: keep first
+        const double rank = KeyUnitHash(key_hash);
+        if (!heap.WouldAdmit(rank)) return;
+        heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
+      });
+  sketch.source_distinct_keys = table.size();
   sketch.entries = heap.TakeSorted();
   return sketch;
 }

@@ -8,7 +8,7 @@
 
 #include "src/common/random.h"
 #include "src/sketch/builder.h"
-#include "src/sketch/key_hash.h"
+#include "src/sketch/key_table.h"
 
 namespace joinmi {
 
@@ -21,21 +21,24 @@ Result<Sketch> ReservoirRows(const SketchBuilder& builder, const Column& keys,
   const SketchOptions& options = builder.options();
   Rng rng(options.sampling_seed);
   std::vector<SketchEntry> reservoir;
-  reservoir.reserve(options.capacity);
+  reservoir.reserve(std::min(options.capacity, keys.size()));
+  internal::KeyTable table;  // only counts the distinct keys
   size_t seen = 0;
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
-    ++seen;
-    if (reservoir.size() < options.capacity) {
-      reservoir.push_back(SketchEntry{key_hash, 0.0, values.GetValue(row)});
-    } else {
-      const uint64_t slot = rng.NextBounded(seen);
-      if (slot < options.capacity) {
-        reservoir[slot] = SketchEntry{key_hash, 0.0, values.GetValue(row)};
-      }
-    }
-  }
+  sketch.source_rows = internal::ScanKeyedRows(
+      keys, values, options.hash_seed, &table,
+      [&](size_t row, uint64_t key_hash, size_t /*id*/, bool /*first*/) {
+        ++seen;
+        if (reservoir.size() < options.capacity) {
+          reservoir.push_back(
+              SketchEntry{key_hash, 0.0, values.GetValue(row)});
+        } else {
+          const uint64_t slot = rng.NextBounded(seen);
+          if (slot < options.capacity) {
+            reservoir[slot] = SketchEntry{key_hash, 0.0, values.GetValue(row)};
+          }
+        }
+      });
+  sketch.source_distinct_keys = table.size();
   sketch.entries = std::move(reservoir);
   std::sort(sketch.entries.begin(), sketch.entries.end(),
             [](const SketchEntry& a, const SketchEntry& b) {
@@ -61,10 +64,11 @@ Result<Sketch> IndskBuilder::SketchCandidate(const Column& keys,
                           InitSketch(keys, values, SketchSide::kCandidate));
   JOINMI_ASSIGN_OR_RETURN(
       auto aggregated, AggregateByKey(keys, values, agg, options_.hash_seed));
+  SetSourceCounts(aggregated, &sketch);
   // Uniform reservoir over the aggregated (unique) keys, independent seed.
   Rng rng(options_.sampling_seed ^ 0xC0FFEEULL);
   std::vector<SketchEntry> reservoir;
-  reservoir.reserve(options_.capacity);
+  reservoir.reserve(std::min(options_.capacity, aggregated.size()));
   size_t seen = 0;
   for (const AggregatedKey& entry : aggregated) {
     ++seen;

@@ -4,14 +4,37 @@
 
 namespace joinmi {
 
+namespace {
+
+uint64_t HashStringKey(const std::string& key, uint32_t seed) {
+  const uint32_t h = MurmurHash3_32(key, seed);
+  return Mix64((static_cast<uint64_t>(h) << 32) |
+               (key.size() & 0xFFFFFFFFULL));
+}
+
+}  // namespace
+
 uint64_t HashKey(const Value& key, uint32_t seed) {
-  if (key.is_string()) {
-    const uint32_t h = MurmurHash3_32(key.str(), seed);
-    return Mix64((static_cast<uint64_t>(h) << 32) |
-                 (key.str().size() & 0xFFFFFFFFULL));
-  }
+  if (key.is_string()) return HashStringKey(key.str(), seed);
   // Numeric / null keys: mix the canonical value hash with the seed.
   return Mix64(key.Hash() ^ (static_cast<uint64_t>(seed) * 0x9E3779B9ULL));
+}
+
+uint64_t HashKeyAt(const Column& col, size_t row, uint32_t seed) {
+  if (col.IsValid(row)) {
+    // Numeric Values hold no heap memory; only strings are worth avoiding.
+    switch (col.type()) {
+      case DataType::kString:
+        return HashStringKey(col.StringAt(row), seed);
+      case DataType::kInt64:
+        return HashKey(Value(col.Int64At(row)), seed);
+      case DataType::kDouble:
+        return HashKey(Value(col.DoubleAt(row)), seed);
+      case DataType::kNull:
+        break;
+    }
+  }
+  return HashKey(Value::Null(), seed);
 }
 
 double KeyUnitHash(uint64_t key_hash) { return FibonacciUnitHash(key_hash); }

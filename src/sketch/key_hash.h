@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "src/table/column.h"
 #include "src/table/value.h"
 
 namespace joinmi {
@@ -15,6 +16,11 @@ namespace joinmi {
 /// MurmurHash3; numerics through a bijective mix of their bit pattern.
 /// Seeded so independent sketch universes can coexist.
 uint64_t HashKey(const Value& key, uint32_t seed = 0);
+
+/// \brief h(k) of cell `row` of `col`, read through the typed accessors:
+/// equal to HashKey(col.GetValue(row), seed), without building a Value
+/// (so a string key is hashed in place, never copied).
+uint64_t HashKeyAt(const Column& col, size_t row, uint32_t seed = 0);
 
 /// \brief h_u(h(k)): unit-interval rank of a key hash (Fibonacci hashing).
 double KeyUnitHash(uint64_t key_hash);

@@ -8,75 +8,87 @@
 #include "src/sketch/two_level.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "src/common/random.h"
 #include "src/sketch/key_hash.h"
+#include "src/sketch/key_table.h"
 
 namespace joinmi {
 namespace internal {
 
 namespace {
-struct KeyedRows {
+struct RankedKey {
+  double rank = 0.0;  // level-1 rank
   uint64_t key_hash = 0;
-  double key_rank = 0.0;  // level-1 rank
-  std::vector<size_t> rows;
+  size_t id = 0;  // KeyTable id
 };
+constexpr size_t kUnusableRow = static_cast<size_t>(-1);
 }  // namespace
 
 Result<Sketch> BuildTwoLevelTrain(const SketchBuilder& builder,
                                   const Column& keys, const Column& values,
                                   bool priority_weighted, Sketch sketch) {
   const SketchOptions& options = builder.options();
-  // Group usable rows by key.
-  std::vector<KeyedRows> groups;
-  std::unordered_map<uint64_t, size_t> index;
-  index.reserve(keys.size());
-  size_t total_rows = 0;
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t h = HashKey(keys.GetValue(row), options.hash_seed);
-    auto [it, inserted] = index.emplace(h, groups.size());
-    if (inserted) {
-      groups.push_back(KeyedRows{h, KeyUnitHash(h), {}});
-    }
-    groups[it->second].rows.push_back(row);
-    ++total_rows;
+  // One pass: number each usable row's key and count the rows per key.
+  KeyTable table;
+  std::vector<size_t> key_of_row(keys.size(), kUnusableRow);
+  std::vector<size_t> frequency;  // by key id
+  const size_t total_rows = ScanKeyedRows(
+      keys, values, options.hash_seed, &table,
+      [&](size_t row, uint64_t /*key_hash*/, size_t id, bool first) {
+        if (first) frequency.push_back(0);
+        ++frequency[id];
+        key_of_row[row] = id;
+      });
+  sketch.source_rows = total_rows;
+  sketch.source_distinct_keys = table.size();
+  // Stable counting sort: key id's rows, ascending, are
+  // grouped[start[id], start[id] + frequency[id]).
+  std::vector<size_t> start(table.size());
+  for (size_t id = 1; id < table.size(); ++id) {
+    start[id] = start[id - 1] + frequency[id - 1];
   }
-  if (priority_weighted) {
+  std::vector<size_t> grouped(total_rows);
+  std::vector<size_t> fill = start;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (key_of_row[row] != kUnusableRow) grouped[fill[key_of_row[row]]++] = row;
+  }
+  std::vector<RankedKey> ranked(table.size());
+  for (size_t id = 0; id < table.size(); ++id) {
+    ranked[id] = RankedKey{KeyUnitHash(table.key(id)), table.key(id), id};
     // Priority sampling: rank = u / w with weight w = key frequency, so
     // heavy keys are preferentially retained at level 1.
-    for (KeyedRows& group : groups) {
-      group.key_rank /= static_cast<double>(group.rows.size());
+    if (priority_weighted) {
+      ranked[id].rank /= static_cast<double>(frequency[id]);
     }
   }
   // Level 1: the n keys with minimum rank.
   const size_t n = options.capacity;
-  const size_t selected = std::min(n, groups.size());
-  std::partial_sort(groups.begin(),
-                    groups.begin() + static_cast<ptrdiff_t>(selected),
-                    groups.end(), [](const KeyedRows& a, const KeyedRows& b) {
-                      if (a.key_rank != b.key_rank)
-                        return a.key_rank < b.key_rank;
+  const size_t selected = std::min(n, ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<ptrdiff_t>(selected),
+                    ranked.end(), [](const RankedKey& a, const RankedKey& b) {
+                      if (a.rank != b.rank) return a.rank < b.rank;
                       return a.key_hash < b.key_hash;
                     });
   // Level 2: per-key cap n_k = max(1, floor(n * N_k / N)), sampled uniformly
   // without replacement (Fisher–Yates prefix), deterministic per seed/key.
   Rng base_rng(options.sampling_seed);
   for (size_t g = 0; g < selected; ++g) {
-    KeyedRows& group = groups[g];
-    const size_t freq = group.rows.size();
+    const RankedKey& key = ranked[g];
+    const size_t freq = frequency[key.id];
+    size_t* rows = grouped.data() + start[key.id];
     const size_t cap = std::max<size_t>(
         1, static_cast<size_t>(static_cast<double>(n) *
                                static_cast<double>(freq) /
                                static_cast<double>(total_rows)));
     const size_t take = std::min(cap, freq);
-    Rng rng(base_rng.Next64() ^ group.key_hash);
+    Rng rng(base_rng.Next64() ^ key.key_hash);
     for (size_t i = 0; i < take; ++i) {
       const size_t j = i + static_cast<size_t>(rng.NextBounded(freq - i));
-      std::swap(group.rows[i], group.rows[j]);
-      sketch.entries.push_back(SketchEntry{
-          group.key_hash, group.key_rank, values.GetValue(group.rows[i])});
+      std::swap(rows[i], rows[j]);
+      sketch.entries.push_back(
+          SketchEntry{key.key_hash, key.rank, values.GetValue(rows[i])});
     }
   }
   std::sort(sketch.entries.begin(), sketch.entries.end(),

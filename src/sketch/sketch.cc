@@ -1,10 +1,9 @@
 #include "src/sketch/sketch.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "src/common/string_util.h"
-#include "src/sketch/key_hash.h"
+#include "src/sketch/key_table.h"
 
 namespace joinmi {
 
@@ -34,8 +33,8 @@ Result<SketchMethod> SketchMethodFromString(const std::string& name) {
   return Status::InvalidArgument("unknown sketch method '" + name + "'");
 }
 
-KmvHeap::KmvHeap(size_t capacity) : capacity_(capacity) {
-  heap_.reserve(capacity + 1);
+KmvHeap::KmvHeap(size_t capacity, size_t max_offers) : capacity_(capacity) {
+  heap_.reserve(std::min(capacity, max_offers));
 }
 
 bool KmvHeap::RankLess(const SketchEntry& a, const SketchEntry& b) {
@@ -81,22 +80,21 @@ Result<std::vector<AggregatedKey>> AggregateByKey(const Column& keys,
   if (keys.size() != values.size()) {
     return Status::InvalidArgument("key/value column length mismatch");
   }
-  std::vector<AggregatedKey> result;
+  std::vector<AggregatedKey> result;  // by key id: first-appearance order
   std::vector<AggregatorState> states;
-  std::unordered_map<uint64_t, size_t> index;  // key hash -> position
-  index.reserve(keys.size());
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t h = HashKey(keys.GetValue(row), hash_seed);
-    auto [it, inserted] = index.emplace(h, result.size());
-    if (inserted) {
-      result.push_back(AggregatedKey{h, Value::Null(), 0});
-      states.emplace_back(agg);
-    }
-    const size_t pos = it->second;
-    JOINMI_RETURN_NOT_OK(states[pos].Update(values.GetValue(row)));
-    ++result[pos].frequency;
-  }
+  internal::KeyTable table;
+  Status status;
+  internal::ScanKeyedRows(
+      keys, values, hash_seed, &table,
+      [&](size_t row, uint64_t key_hash, size_t id, bool first) {
+        if (first) {
+          result.push_back(AggregatedKey{key_hash, Value::Null(), 0});
+          states.emplace_back(agg);
+        }
+        if (status.ok()) status = states[id].Update(values.GetValue(row));
+        ++result[id].frequency;
+      });
+  JOINMI_RETURN_NOT_OK(status);
   for (size_t i = 0; i < result.size(); ++i) {
     JOINMI_ASSIGN_OR_RETURN(result[i].value, states[i].Finish());
   }

@@ -67,7 +67,11 @@ struct Sketch {
 /// key_hash then value hash, keeping selection deterministic.
 class KmvHeap {
  public:
-  explicit KmvHeap(size_t capacity);
+  /// \brief `max_offers` bounds the entries that can ever be offered (the
+  /// input's row or key count); storage for min(capacity, max_offers)
+  /// entries is reserved up front, so a capacity far beyond the input
+  /// allocates nothing extra.
+  KmvHeap(size_t capacity, size_t max_offers);
 
   size_t capacity() const { return capacity_; }
   size_t size() const { return heap_.size(); }
@@ -88,8 +92,8 @@ class KmvHeap {
   std::vector<SketchEntry> heap_;  // max-heap by RankLess
 };
 
-/// \brief A per-key aggregate: key hash, original key, aggregated value,
-/// and the key's frequency in the source table.
+/// \brief A per-key aggregate: key hash, aggregated value, and the key's
+/// frequency (usable rows) in the source table.
 struct AggregatedKey {
   uint64_t key_hash = 0;
   Value value;

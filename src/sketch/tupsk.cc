@@ -5,10 +5,9 @@
 // which is the property that removes the estimator bias LV2SK suffers under
 // key-target dependence.
 
-#include <unordered_map>
-
 #include "src/sketch/builder.h"
 #include "src/sketch/key_hash.h"
+#include "src/sketch/key_table.h"
 
 namespace joinmi {
 
@@ -18,17 +17,18 @@ Result<Sketch> TupskBuilder::SketchTrain(const Column& keys,
                           InitSketch(keys, values, SketchSide::kTrain));
   // Single pass: track the running occurrence index j per key; offer every
   // row at rank h_u(⟨k, j⟩).
-  std::unordered_map<uint64_t, uint64_t> occurrence;
-  occurrence.reserve(keys.size());
-  KmvHeap heap(options_.capacity);
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKey(keys.GetValue(row), options_.hash_seed);
-    const uint64_t j = ++occurrence[key_hash];
-    const double rank = TupleUnitHash(key_hash, j);
-    if (!heap.WouldAdmit(rank)) continue;
-    heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
-  }
+  internal::KeyTable table;
+  std::vector<uint64_t> occurrences;  // by key id
+  KmvHeap heap(options_.capacity, keys.size());
+  sketch.source_rows = internal::ScanKeyedRows(
+      keys, values, options_.hash_seed, &table,
+      [&](size_t row, uint64_t key_hash, size_t id, bool first) {
+        if (first) occurrences.push_back(0);
+        const double rank = TupleUnitHash(key_hash, ++occurrences[id]);
+        if (!heap.WouldAdmit(rank)) return;
+        heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
+      });
+  sketch.source_distinct_keys = table.size();
   sketch.entries = heap.TakeSorted();
   return sketch;
 }

@@ -25,7 +25,7 @@ namespace {
 // ----------------------------------------------------------------- KMV ----
 
 TEST(KmvHeapTest, KeepsMinimumRanks) {
-  KmvHeap heap(3);
+  KmvHeap heap(3, 6);
   for (double rank : {0.9, 0.1, 0.5, 0.7, 0.3, 0.2}) {
     heap.Offer(SketchEntry{static_cast<uint64_t>(rank * 100), rank, Value()});
   }
@@ -38,7 +38,7 @@ TEST(KmvHeapTest, KeepsMinimumRanks) {
 }
 
 TEST(KmvHeapTest, WouldAdmitMatchesOfferBehavior) {
-  KmvHeap heap(2);
+  KmvHeap heap(2, 2);
   heap.Offer(SketchEntry{1, 0.5, Value()});
   EXPECT_TRUE(heap.WouldAdmit(0.9));  // not yet full
   heap.Offer(SketchEntry{2, 0.8, Value()});
@@ -48,12 +48,12 @@ TEST(KmvHeapTest, WouldAdmitMatchesOfferBehavior) {
 }
 
 TEST(KmvHeapTest, ZeroCapacityAndUnderfill) {
-  KmvHeap zero(0);
+  KmvHeap zero(0, 1);
   EXPECT_FALSE(zero.WouldAdmit(0.0));
   zero.Offer(SketchEntry{1, 0.1, Value()});
   EXPECT_EQ(zero.TakeSorted().size(), 0u);
 
-  KmvHeap big(100);
+  KmvHeap big(100, 1);
   big.Offer(SketchEntry{1, 0.1, Value()});
   EXPECT_EQ(big.TakeSorted().size(), 1u);
 }
@@ -65,6 +65,37 @@ TEST(KeyHashTest, DeterministicAndSeedSeparated) {
   EXPECT_NE(HashKey(Value("k1"), 0), HashKey(Value("k1"), 1));
   EXPECT_NE(HashKey(Value("k1"), 0), HashKey(Value("k2"), 0));
   EXPECT_EQ(HashKey(Value(int64_t{5}), 0), HashKey(Value(int64_t{5}), 0));
+}
+
+TEST(KeyHashTest, TypedHashEqualsValueHash) {
+  // HashKeyAt reads cells through the typed accessors; it must agree with
+  // HashKey over the cell's Value for every type, null cells included.
+  const std::string long_string(40, 'z');
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::shared_ptr<Column>> columns = {
+      Column::MakeString({"", "a", long_string, "", "k7"},
+                         {true, true, true, false, true}),
+      Column::MakeInt64({std::numeric_limits<int64_t>::min(),
+                         (int64_t{1} << 53) + 1, 0, -1,
+                         std::numeric_limits<int64_t>::max(), 3},
+                        {true, true, true, true, true, false}),
+      Column::MakeDouble({-0.0, 0.0, std::nan(""), inf, -inf, 3.0, 1.5},
+                         {true, true, true, true, true, true, false}),
+      // No constructor yields a kNull-typed column with rows: FromValues
+      // types an all-null column as kString.
+      *Column::FromValues({Value::Null(), Value::Null()}),
+  };
+  for (const auto& col : columns) {
+    for (uint32_t seed : {0u, 7u}) {
+      for (size_t row = 0; row < col->size(); ++row) {
+        EXPECT_EQ(HashKeyAt(*col, row, seed), HashKey(col->GetValue(row), seed))
+            << DataTypeToString(col->type()) << " row " << row << " seed "
+            << seed;
+      }
+    }
+  }
+  EXPECT_EQ(HashKeyAt(*columns[2], 0, 0), HashKeyAt(*columns[2], 1, 0))
+      << "-0.0 and +0.0 are one key";
 }
 
 TEST(KeyHashTest, TupleHashSeparatesOccurrences) {
@@ -208,6 +239,29 @@ TEST_P(SketchMethodTest, CandidateSketchAggregatesPerKey) {
     for (const auto& e : sketch->entries) {
       EXPECT_EQ(e.value.int64(), expected.at(e.key_hash));
     }
+  }
+}
+
+TEST_P(SketchMethodTest, HugeCapacityKeepsEveryUsableRow) {
+  // The capacity can arrive in untrusted config bytes; no builder may
+  // reserve storage for it before reading a row.
+  auto builder = MakeSketchBuilder(GetParam(), Options(size_t{1} << 40));
+  auto keys = Column::MakeString({"a", "b", "a", "c", "b"},
+                                 {true, true, true, false, true});
+  auto values = Column::MakeInt64({1, 2, 3, 4, 5},
+                                  {true, true, true, true, false});
+  // Usable rows: (a, 1), (b, 2), (a, 3) over two distinct keys.
+  auto train = builder->SketchTrain(*keys, *values);
+  ASSERT_TRUE(train.ok()) << train.status();
+  EXPECT_EQ(train->source_rows, 3u);
+  EXPECT_EQ(train->source_distinct_keys, 2u);
+  // CSK keeps one row per key; every other method keeps every row.
+  EXPECT_EQ(train->size(), GetParam() == SketchMethod::kCsk ? 2u : 3u);
+  for (AggKind agg : {AggKind::kFirst, AggKind::kAvg}) {
+    auto cand = builder->SketchCandidate(*keys, *values, agg);
+    ASSERT_TRUE(cand.ok()) << cand.status();
+    EXPECT_EQ(cand->source_rows, 3u);
+    EXPECT_EQ(cand->size(), 2u);
   }
 }
 
@@ -896,8 +950,9 @@ struct GoldenSketch {
   size_t source_distinct_keys;
 };
 
-// Captured from the two-pass builders these replaced; a change to any
-// builder must leave every serialized sketch byte-identical.
+// Checksum64 of SerializeSketch, source_rows, source_distinct_keys. Sketches
+// are persisted and compared across processes, so a builder change that
+// moves any of these changes the sketch format, not just its speed.
 constexpr GoldenSketch kGoldenSketches[] = {
     {"TUPSK/train/string/16", 0x51e656f878e41174ULL, 215, 49},
     {"TUPSK/first/string/16", 0x3a9065654219c4ecULL, 215, 49},
@@ -1066,6 +1121,47 @@ TEST(GoldenSketchTest, SerializedSketchesAreByteIdentical) {
   EXPECT_EQ(checked, expected.size());
   EXPECT_TRUE(mismatches.empty()) << "sketches differ from golden:\n"
                                   << mismatches;
+}
+
+TEST(SketchConcurrencyTest, ParallelSketchesMatchSerialBuild) {
+  // Builders hold no shared mutable state: one builder sketching 16
+  // columns from 8 threads at once yields the serial build's bytes.
+  constexpr size_t kColumns = 16;
+  Rng rng(5);
+  std::vector<std::shared_ptr<Column>> keys, values;
+  for (size_t c = 0; c < kColumns; ++c) {
+    std::vector<std::string> k;
+    std::vector<int64_t> v;
+    for (int row = 0; row < 400; ++row) {
+      k.push_back("c" + std::to_string(c) + "-k" +
+                  std::to_string(rng.NextBounded(120)));
+      v.push_back(static_cast<int64_t>(rng.NextBounded(50)));
+    }
+    keys.push_back(Column::MakeString(std::move(k)));
+    values.push_back(Column::MakeInt64(std::move(v)));
+  }
+  for (SketchMethod method : kAllMethods) {
+    auto builder = MakeSketchBuilder(method, Options(32));
+    auto sketch_bytes = [&](size_t item) -> std::string {
+      const size_t c = item % kColumns;
+      auto sketch = item < kColumns
+                        ? builder->SketchCandidate(*keys[c], *values[c],
+                                                   AggKind::kAvg)
+                        : builder->SketchTrain(*keys[c], *values[c]);
+      return sketch.ok() ? SerializeSketch(*sketch)
+                         : sketch.status().ToString();
+    };
+    std::vector<std::string> serial(2 * kColumns), parallel(2 * kColumns);
+    for (size_t item = 0; item < serial.size(); ++item) {
+      serial[item] = sketch_bytes(item);
+    }
+    ParallelFor(parallel.size(), 8,
+                [&](size_t item) { parallel[item] = sketch_bytes(item); });
+    for (size_t item = 0; item < serial.size(); ++item) {
+      EXPECT_EQ(parallel[item], serial[item])
+          << SketchMethodToString(method) << " item " << item;
+    }
+  }
 }
 
 }  // namespace
