@@ -34,10 +34,10 @@
 //
 // Part 4 is the serving boundary: the same shard layouts are served by
 // real ShardServer instances on loopback TCP and queried through
-// RpcShardClient, versus the in-process LocalShardClient fan-out. The
-// delta is the true per-query cost of crossing the network — framing,
-// sketch serialization, socket round trips — as a function of shard
-// count. Rankings are cross-checked (RPC must be bit-identical to local)
+// one-replica ReplicaShardClients, versus the in-process LocalShardClient
+// fan-out. The delta is the true per-query cost of crossing the network —
+// framing, sketch serialization, socket round trips — as a function of
+// shard count. Rankings are cross-checked (RPC must be bit-identical to local)
 // before any number is printed.
 //
 // Part 5 is concurrent serving: several router threads hammer the same
@@ -128,7 +128,6 @@
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/replica_router.h"
 #include "src/discovery/router.h"
-#include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/search.h"
 #include "src/discovery/shard_server.h"
 #include "src/discovery/sharded_index.h"
@@ -465,6 +464,18 @@ void RunShardScaling(const BenchParams& params,
               "become servers)\n");
 }
 
+// The remote factory over one server per shard: each shard is a replica
+// set of one.
+ShardClientFactory OneReplicaFactory(
+    const std::vector<ShardEndpoint>& endpoints,
+    const ServingOptions& options) {
+  std::vector<std::vector<ShardEndpoint>> replicas;
+  for (const ShardEndpoint& endpoint : endpoints) {
+    replicas.push_back({endpoint});
+  }
+  return ReplicaShardClient::Factory(std::move(replicas), options);
+}
+
 // Part 4: the cost of the process boundary — loopback RPC vs in-process
 // shard fan-out for the same shard layouts.
 void RunRpcServing(const BenchParams& params,
@@ -502,7 +513,7 @@ void RunRpcServing(const BenchParams& params,
       servers.push_back(std::move(*server));
     }
     auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints));
+        *manifest_path, OneReplicaFactory(endpoints, ServingOptions()));
     remote.status().Abort("assembling the RPC sharded index");
 
     // Correctness gate first: the wire must not change a single bit.
@@ -610,10 +621,10 @@ void RunConcurrentServing(const BenchParams& params,
     servers.push_back(std::move(*server));
   }
   for (size_t pool_size : {1u, 2u, 4u}) {
-    RpcClientOptions options;
+    ServingOptions options;
     options.pool_size = pool_size;
     auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
+        *manifest_path, OneReplicaFactory(endpoints, options));
     remote.status().Abort("assembling the RPC sharded index");
     const double ms = drive(*remote);
     std::printf("pool=%zu conn/shard : %8.2f ms total | %8.2f ms/query | "
@@ -640,8 +651,8 @@ void RunConcurrentServing(const BenchParams& params,
         extra.push_back(std::move(*server));
       }
     }
-    ReplicaRouterOptions options;
-    options.rpc.pool_size = 2;
+    ServingOptions options;
+    options.pool_size = 2;
     auto remote = ShardedSketchIndex::Load(
         *manifest_path,
         ReplicaShardClient::Factory(replica_map, options));
@@ -730,11 +741,11 @@ void RunBatchedPipelinedServing(const BenchParams& params,
     if (smoke && concurrency > 8) break;
     double wall_ms[2] = {0.0, 0.0};
     for (uint32_t max_version : {1u, 2u}) {
-      RpcClientOptions options;
+      ServingOptions options;
       options.pool_size = 1;
       options.max_protocol_version = max_version;
       auto remote = ShardedSketchIndex::Load(
-          *manifest_path, RpcShardClient::Factory(endpoints, options));
+          *manifest_path, OneReplicaFactory(endpoints, options));
       remote.status().Abort("assembling the RPC sharded index");
       wall_ms[max_version - 1] = drive(*remote, concurrency, queries_each);
     }
@@ -749,10 +760,10 @@ void RunBatchedPipelinedServing(const BenchParams& params,
   // deeper pipelines on fewer sockets.
   const size_t sweep_concurrency = smoke ? 4 : 8;
   for (size_t pool : {1u, 2u, 4u}) {
-    RpcClientOptions options;
+    ServingOptions options;
     options.pool_size = pool;
     auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
+        *manifest_path, OneReplicaFactory(endpoints, options));
     remote.status().Abort("assembling the RPC sharded index");
     const double ms = drive(*remote, sweep_concurrency, queries_each);
     std::printf("conns=%zu/shard: v2 %8.0f queries/s at inflight=%zu\n",
@@ -765,10 +776,10 @@ void RunBatchedPipelinedServing(const BenchParams& params,
   // sketch is uploaded once per connection either way; the batch saves
   // the per-variant round trips.
   {
-    RpcClientOptions options;
+    ServingOptions options;
     options.pool_size = 1;
     auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
+        *manifest_path, OneReplicaFactory(endpoints, options));
     remote.status().Abort("assembling the RPC sharded index");
     auto query = JoinMIQuery::Create(*query_table, "K", "Y", config);
     query.status().Abort("sketching the bench query");

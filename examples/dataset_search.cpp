@@ -37,16 +37,16 @@ int main(int argc, char** argv) {
   // --keep-index PATH persists the index there (and keeps it) so CI can
   // chain the build_shards tool onto this example's output.
   //
-  // --rpc-manifest M --rpc-endpoints E run the same search through
-  // RpcShardClient against already-running shard servers and drift-check
-  // it against the unsharded answer; --rpc-expect-down N instead asserts
-  // that exactly N shards are down: strict mode must fail and degraded
-  // mode must return the surviving shards' correctly merged top-k. This
-  // is the CI serving end-to-end (generation is fully deterministic, so a
-  // rerun probes the same index the servers loaded).
+  // --rpc-manifest M --rpc-endpoints E run the same search through the
+  // remote shard clients against already-running shard servers and
+  // drift-check it against the unsharded answer; --rpc-expect-down N
+  // instead asserts that exactly N shards are down: strict mode must fail
+  // and degraded mode must return the surviving shards' correctly merged
+  // top-k. This is the CI serving end-to-end (generation is fully
+  // deterministic, so a rerun probes the same index the servers loaded).
   //
-  // --rpc-replica-endpoints E reads a v2 (replicated) endpoints file and
-  // routes through ReplicaShardClient instead; --rpc-loop N issues N
+  // --rpc-replica-endpoints E reads a v2 (replicated) endpoints file
+  // itself and passes the parsed map to the router; --rpc-loop N issues N
   // strict drift-checked queries 200ms apart, so a harness can kill a
   // replica MID-RUN and this process proves failover: every query must
   // keep matching the unsharded answer with zero shard failures.
@@ -388,16 +388,16 @@ int main(int argc, char** argv) {
               cache_ok ? "ok" : "CACHE BROKE (bug!)");
 
   // 6. Networked serving (only when CI or an operator points us at live
-  //    shard servers): the same query through RpcShardClient. Healthy
+  //    shard servers): the same query through the remote clients. Healthy
   //    deployments must be drift-free vs. the unsharded index; partially
   //    down deployments must fail strict queries and answer degraded ones
   //    with exactly the surviving shards' merged top-k.
   bool rpc_ok = true;
   if (!rpc_replica_endpoints_path.empty()) {
     // 6b. Replicated serving drill: the endpoints file maps every shard to
-    //     its replicas; Router::Open sees the multi-replica lines and
-    //     assembles failover-capable replica clients behind the same
-    //     facade. The result cache is OFF for this drill — every loop
+    //     its replicas; Router::Open builds the same replica clients as
+    //     for a one-endpoint-per-shard file, now with a twin to fail over
+    //     to. The result cache is OFF for this drill — every loop
     //     iteration must actually cross the wire, or a mid-run replica
     //     kill would be masked by a cached answer. Each iteration is a
     //     STRICT query that must match the unsharded answer with zero

@@ -6,6 +6,29 @@
 
 namespace joinmi {
 
+namespace {
+
+// A remote deployment needs the manifest's embedded JoinMIConfig to
+// sketch queries, and exactly one endpoint list per shard.
+Status ValidateServingManifest(const ShardManifest& manifest,
+                               size_t num_entries) {
+  if (!manifest.config.has_value()) {
+    return Status::InvalidArgument(
+        "manifest has no embedded JoinMIConfig (legacy v1 format) — "
+        "remote serving needs it to sketch queries; repartition with "
+        "the current build_shards");
+  }
+  if (num_entries != manifest.shards.size()) {
+    return Status::InvalidArgument(
+        "manifest names " + std::to_string(manifest.shards.size()) +
+        " shards but " + std::to_string(num_entries) +
+        " shard endpoint entries were provided");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 // ----------------------------------------------------------- Endpoints file
 
 Result<std::vector<std::vector<ShardEndpoint>>> ReadShardEndpoints(
@@ -74,6 +97,7 @@ std::vector<size_t> ReplicaSet::DueForReprobe() {
   std::lock_guard<std::mutex> lock(mutex_);
   const Clock::time_point now = Clock::now();
   std::vector<size_t> due;
+  if (states_.size() < 2) return due;
   for (size_t i = 0; i < states_.size(); ++i) {
     if (states_[i].down && now >= states_[i].probe_due) {
       due.push_back(i);
@@ -111,7 +135,7 @@ bool ReplicaSet::IsDown(size_t replica) const {
 
 Result<std::unique_ptr<ReplicaShardClient>> ReplicaShardClient::Create(
     std::vector<ShardEndpoint> replicas, JoinMIConfig expected_config,
-    uint64_t expected_candidates, ReplicaRouterOptions options) {
+    uint64_t expected_candidates, const ServingOptions& options) {
   if (replicas.empty()) {
     return Status::InvalidArgument(
         "a replicated shard client needs at least one replica endpoint");
@@ -125,17 +149,34 @@ Result<std::unique_ptr<ReplicaShardClient>> ReplicaShardClient::Create(
     JOINMI_ASSIGN_OR_RETURN(
         std::unique_ptr<RpcShardClient> client,
         RpcShardClient::Create(std::move(endpoint), expected_config,
-                               expected_candidates, options.rpc));
+                               expected_candidates, options.rpc()));
     clients.push_back(std::move(client));
   }
   return std::unique_ptr<ReplicaShardClient>(new ReplicaShardClient(
       std::move(clients), std::move(expected_config), expected_candidates,
-      options));
+      options.cooldown_ms));
 }
 
 Result<std::vector<ShardSearchResult>> ReplicaShardClient::FailoverLoop(
-    const std::function<Result<std::vector<ShardSearchResult>>(
-        const RpcShardClient&, bool*)>& attempt) const {
+    const JoinMIQuery& query,
+    const std::vector<ShardSearchVariant>& variants) const {
+  for (const ShardSearchVariant& variant : variants) {
+    if (variant.k == 0) {
+      return Status::InvalidArgument("shard search requires k >= 1");
+    }
+  }
+  // Everything except min_join_size must match the shard's config: those
+  // fields change estimates, and only min_join_size travels per variant.
+  // Rejecting here keeps "RPC == local, byte for byte" honest.
+  JoinMIConfig comparable = config_;
+  comparable.min_join_size = query.config().min_join_size;
+  if (query.config() != comparable) {
+    return Status::InvalidArgument(
+        "query config (" + query.config().ToString() +
+        ") disagrees with the shard's config (" + config_.ToString() +
+        ") beyond min_join_size — the shard would answer under the wrong "
+        "configuration");
+  }
   // Cooldown-expired replicas get one cheap liveness probe before the
   // request plans its attempts — a recovered replica rejoins the rotation
   // in time to serve this very query. A failed probe re-arms the cooldown
@@ -153,7 +194,7 @@ Result<std::vector<ShardSearchResult>> ReplicaShardClient::FailoverLoop(
   Status last = Status::IOError("no replica attempted");
   for (size_t i : set_.PlanAttempts()) {
     bool reached_wire = false;
-    auto result = attempt(*replicas_[i], &reached_wire);
+    auto result = replicas_[i]->SearchVariants(query, variants, &reached_wire);
     if (result.ok()) {
       set_.MarkHealthy(i);
       return result;
@@ -189,15 +230,12 @@ Result<std::vector<ShardSearchResult>> ReplicaShardClient::FailoverLoop(
 
 Result<ShardSearchResult> ReplicaShardClient::Search(
     const JoinMIQuery& query, size_t k, size_t num_threads) const {
+  (void)num_threads;  // evaluation parallelism belongs to the server
   std::vector<ShardSearchVariant> variants(1);
   variants[0].k = k;
   variants[0].min_join_size = query.config().min_join_size;
-  JOINMI_ASSIGN_OR_RETURN(
-      std::vector<ShardSearchResult> results,
-      FailoverLoop([&](const RpcShardClient& replica, bool* reached_wire) {
-        return replica.SearchVariants(query, variants, num_threads,
-                                      reached_wire);
-      }));
+  JOINMI_ASSIGN_OR_RETURN(std::vector<ShardSearchResult> results,
+                          FailoverLoop(query, variants));
   return std::move(results[0]);
 }
 
@@ -205,12 +243,9 @@ Result<std::vector<ShardSearchResult>> ReplicaShardClient::SearchVariants(
     const JoinMIQuery& query,
     const std::vector<ShardSearchVariant>& variants,
     size_t num_threads) const {
+  (void)num_threads;
   if (variants.empty()) return std::vector<ShardSearchResult>{};
-  return FailoverLoop(
-      [&](const RpcShardClient& replica, bool* reached_wire) {
-        return replica.SearchVariants(query, variants, num_threads,
-                                      reached_wire);
-      });
+  return FailoverLoop(query, variants);
 }
 
 Result<rpc::HealthResponse> ReplicaShardClient::Health() const {
@@ -229,7 +264,7 @@ Result<rpc::HealthResponse> ReplicaShardClient::Health() const {
 
 ShardClientFactory ReplicaShardClient::Factory(
     std::vector<std::vector<ShardEndpoint>> replica_endpoints,
-    ReplicaRouterOptions options) {
+    const ServingOptions& options) {
   return [replica_endpoints = std::move(replica_endpoints), options](
              const ShardManifest& manifest, size_t shard,
              const std::string& manifest_dir)

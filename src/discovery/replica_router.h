@@ -1,15 +1,17 @@
-// Replica-aware routing: the failover layer between the sharded fan-out
-// and the per-server RpcShardClient. A ReplicaShardClient serves one
-// shard's slot in the router but holds one pooled RPC client per
-// *replica* — interchangeable servers all serving the same shard file —
-// so a query survives any single replica's death: strict mode now fails
-// only when EVERY replica of some shard is down, and degraded mode
-// reports a shard failure only for shards with zero live replicas.
+// Replica-aware routing: ReplicaShardClient is the one remote ShardClient,
+// the failover layer between the sharded fan-out and the per-server
+// RpcShardClient connection pools. It serves one shard's slot in the
+// router but holds one pooled RPC client per *replica* — interchangeable
+// servers all serving the same shard file — so a query survives any
+// single replica's death: strict mode fails only when EVERY replica of
+// some shard is down, and degraded mode reports a shard failure only for
+// shards with zero live replicas. A shard with one endpoint is a replica
+// set of one.
 //
 // Selection policy (ReplicaSet): requests round-robin across healthy
 // replicas, spreading load. A replica whose Search fails with a
 // connect/IO error is marked down and sits out a cooldown
-// (ReplicaRouterOptions::cooldown_ms); while it cools, requests fail over
+// (ServingOptions::cooldown_ms); while it cools, requests fail over
 // to the next healthy replica in rotation. When the cooldown expires, the
 // next request issues a cheap Health() probe — success returns the
 // replica to rotation (and resets nothing else: its channels re-dial
@@ -20,10 +22,10 @@
 // probes); only when every replica actually refuses does the shard fail,
 // which is the error the strict/degraded modes then see.
 //
-// Correctness: replicas serve byte-identical shard files (the handshake
-// pins config and candidate count to the manifest entry, exactly like the
-// single-endpoint client), so WHICH replica answers never changes a
-// ranking — failover is invisible to the bit-identical merge guarantee.
+// Correctness: replicas serve byte-identical shard files (each replica's
+// handshake pins config and candidate count to the manifest entry), so
+// WHICH replica answers never changes a ranking — failover is invisible
+// to the bit-identical merge guarantee.
 // Deterministic errors (config drift, a shard-side InvalidArgument) are
 // returned immediately, not failed over: every replica would answer the
 // same way, and masking a deployment error behind a healthy twin would
@@ -38,27 +40,16 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/discovery/rpc_shard_client.h"
+#include "src/discovery/serving_options.h"
 #include "src/discovery/sharded_index.h"
 
 namespace joinmi {
-
-/// \brief Knobs for replica selection and the per-replica RPC clients.
-struct ReplicaRouterOptions {
-  /// Networking options for every replica's RpcShardClient (pool size,
-  /// timeouts, retry budget).
-  RpcClientOptions rpc;
-  /// How long a failed replica sits out before the next request spends a
-  /// Health() probe on it. Values below 0 are treated as 0 (probe every
-  /// request — useful in tests, wasteful in production).
-  int cooldown_ms = 1000;
-};
 
 /// \brief THE endpoints-file reader: line i lists the replicas of shard i
 /// as host:port specs separated by commas and/or whitespace. A v1 file —
@@ -74,6 +65,8 @@ Result<std::vector<std::vector<ShardEndpoint>>> ReadShardEndpoints(
 /// testable without sockets.
 class ReplicaSet {
  public:
+  /// \brief `cooldown_ms` below 0 is treated as 0 (probe every request —
+  /// useful in tests, wasteful in production).
   ReplicaSet(size_t num_replicas, int cooldown_ms);
 
   /// \brief The replica indices one request should try, in order: healthy
@@ -88,6 +81,8 @@ class ReplicaSet {
   /// \brief Down replicas whose cooldown has expired, i.e. due for a
   /// Health() probe now. Re-arms each one's cooldown so a dead replica is
   /// probed at most once per period no matter how many requests race by.
+  /// A set of one is never due: its only replica is attempted anyway, so
+  /// a probe would only add a round trip.
   std::vector<size_t> DueForReprobe();
 
   void MarkDown(size_t replica);
@@ -119,15 +114,16 @@ class ReplicaSet {
 /// \brief ShardClient over N interchangeable replicas of one shard.
 class ReplicaShardClient : public ShardClient {
  public:
-  /// \brief Builds one RpcShardClient per replica, each expecting the
-  /// manifest's config and candidate count. Like the single-endpoint
-  /// client: unreachable replicas are tolerated (the outage surfaces per
-  /// request, where failover absorbs it), but a reachable replica that
-  /// fails the handshake fails Create loudly — a misdeployed replica
-  /// would otherwise silently shed its traffic onto its twins.
+  /// \brief Builds one RpcShardClient per replica from `options.rpc()`,
+  /// each expecting the manifest's config and candidate count.
+  /// Unreachable replicas are tolerated (the outage surfaces per request,
+  /// where failover absorbs it), but a reachable replica that fails the
+  /// handshake fails Create loudly — a misdeployed replica would
+  /// otherwise silently shed its traffic onto its twins.
   static Result<std::unique_ptr<ReplicaShardClient>> Create(
       std::vector<ShardEndpoint> replicas, JoinMIConfig expected_config,
-      uint64_t expected_candidates, ReplicaRouterOptions options = {});
+      uint64_t expected_candidates,
+      const ServingOptions& options = ServingOptions());
 
   const JoinMIConfig& config() const override { return config_; }
   size_t num_candidates() const override {
@@ -135,15 +131,19 @@ class ReplicaShardClient : public ShardClient {
   }
   bool waits_on_network() const override { return true; }
 
-  /// \brief Remote search with failover: tries replicas in ReplicaSet
-  /// order, marking connect/IO failures down and moving on; returns the
-  /// first replica's answer (byte-identical across replicas by the
-  /// handshake guarantee). Only requests that provably never reached the
-  /// wire fail over — once any search byte may have left the process the
-  /// request may already be executing, so the replica is marked down but
-  /// the error is returned rather than re-sent to a twin ("maybe executed
-  /// twice" stays impossible across replicas, exactly as it does across
-  /// retries). Fails over-all only when every replica failed, with a
+  /// \brief Remote search with failover — a one-variant batch. Queries
+  /// whose config disagrees with the shard's beyond min_join_size (which
+  /// travels per variant) are rejected before any replica is tried: the
+  /// server would silently answer under *its* config otherwise.
+  /// `num_threads` is ignored: evaluation parallelism belongs to the
+  /// server. Tries replicas in ReplicaSet order, marking connect/IO
+  /// failures down and moving on; returns the first replica's answer
+  /// (byte-identical across replicas by the handshake guarantee). Only
+  /// requests that provably never reached the wire fail over — once any
+  /// search byte may have left the process the request may already be
+  /// executing, so the replica is marked down but the error is returned
+  /// rather than re-sent to a twin ("maybe executed twice" stays
+  /// impossible across replicas, exactly as it does across retries). Fails over-all only when every replica failed, with a
   /// status naming them all.
   Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
                                    size_t num_threads) const override;
@@ -168,29 +168,30 @@ class ReplicaShardClient : public ShardClient {
   /// counter the Router's metrics snapshot absorbs.
   uint64_t total_mark_downs() const { return set_.total_mark_downs(); }
 
-  /// \brief ShardClientFactory over a v2 endpoints map: shard i is served
-  /// by `replica_endpoints[i]` (>= 1 endpoints each). Requires a v2
-  /// manifest (embedded config) and exactly one endpoint list per shard.
-  /// This is the replicated counterpart of RpcShardClient::Factory and
-  /// plugs into the same ShardedSketchIndex::Load seam.
+  /// \brief The remote ShardClientFactory: shard i is served by
+  /// `replica_endpoints[i]` (>= 1 endpoints each). Requires a v2 manifest
+  /// (embedded config) and exactly one endpoint list per shard. Plugs
+  /// into the ShardedSketchIndex::Load seam; Router::Open uses it for
+  /// every endpoints map.
   static ShardClientFactory Factory(
       std::vector<std::vector<ShardEndpoint>> replica_endpoints,
-      ReplicaRouterOptions options = {});
+      const ServingOptions& options = ServingOptions());
 
  private:
-  /// Probes cooldown-expired replicas, then runs `attempt` against
-  /// replicas in selection order under the reached-wire failover policy.
+  /// Checks the query's config and the variants' k once per request,
+  /// probes cooldown-expired replicas, then sends the batch to replicas
+  /// in selection order under the reached-wire failover policy.
   Result<std::vector<ShardSearchResult>> FailoverLoop(
-      const std::function<Result<std::vector<ShardSearchResult>>(
-          const RpcShardClient&, bool*)>& attempt) const;
+      const JoinMIQuery& query,
+      const std::vector<ShardSearchVariant>& variants) const;
 
   ReplicaShardClient(std::vector<std::unique_ptr<RpcShardClient>> replicas,
                      JoinMIConfig config, uint64_t num_candidates,
-                     ReplicaRouterOptions options)
+                     int cooldown_ms)
       : replicas_(std::move(replicas)),
         config_(std::move(config)),
         num_candidates_(num_candidates),
-        set_(replicas_.size(), options.cooldown_ms) {}
+        set_(replicas_.size(), cooldown_ms) {}
 
   std::vector<std::unique_ptr<RpcShardClient>> replicas_;
   JoinMIConfig config_;

@@ -6,7 +6,6 @@
 #include "src/core/config.h"
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/replica_router.h"
-#include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/search.h"
 #include "src/ingest/delta_shard_client.h"
 #include "src/ingest/generation.h"
@@ -17,10 +16,9 @@ namespace joinmi {
 namespace {
 
 // Resolves the backend factory from the options — the decision callers
-// used to make by hand. Replica endpoints (programmatic or a file line
-// with several specs) build replica-aware clients; an all-single-endpoint
-// file builds plain RPC clients (identical behavior AND error text to the
-// pre-router wiring); no endpoints at all means local shard files.
+// used to make by hand. Endpoints (programmatic or from a file) build one
+// ReplicaShardClient per shard, a single-endpoint shard being a replica
+// set of one; no endpoints at all means local shard files.
 Result<ShardClientFactory> ResolveFactory(const RouterOptions& options) {
   if (options.factory_override) {
     return options.factory_override;
@@ -34,20 +32,7 @@ Result<ShardClientFactory> ResolveFactory(const RouterOptions& options) {
   if (replicas.empty()) {
     return LocalShardFactory(options.serving);
   }
-  const bool replicated =
-      std::any_of(replicas.begin(), replicas.end(),
-                  [](const std::vector<ShardEndpoint>& shard) {
-                    return shard.size() > 1;
-                  });
-  if (!replicated) {
-    std::vector<ShardEndpoint> endpoints;
-    endpoints.reserve(replicas.size());
-    for (std::vector<ShardEndpoint>& shard : replicas) {
-      endpoints.push_back(std::move(shard[0]));
-    }
-    return RpcShardFactory(std::move(endpoints), options.serving);
-  }
-  return ReplicaShardFactory(std::move(replicas), options.serving);
+  return ReplicaShardClient::Factory(std::move(replicas), options.serving);
 }
 
 }  // namespace
@@ -322,25 +307,34 @@ std::string Router::StatsJson() const {
   for (size_t i = 0; i < index->num_shards(); ++i) {
     const std::string prefix = "shard." + std::to_string(i) + ".";
     const ShardClient& client = index->client(i);
-    if (const auto* rpc = dynamic_cast<const RpcShardClient*>(&client)) {
-      registry_.GetCounter(prefix + "rpc.dials")->Set(rpc->total_dials());
-      registry_.GetCounter(prefix + "rpc.live_channels")
-          ->Set(rpc->live_channels());
-      registry_.GetCounter(prefix + "rpc.max_pipelined")
-          ->Set(rpc->max_pipelined());
-      registry_.GetCounter(prefix + "rpc.negotiated_version")
-          ->Set(rpc->negotiated_version());
-    } else if (const auto* replicated =
-                   dynamic_cast<const ReplicaShardClient*>(&client)) {
-      registry_.GetCounter(prefix + "replica.mark_downs")
-          ->Set(replicated->total_mark_downs());
-      registry_.GetCounter(prefix + "replica.replicas")
-          ->Set(replicated->num_replicas());
+    if (const auto* remote =
+            dynamic_cast<const ReplicaShardClient*>(&client)) {
+      // rpc.* describe the shard's connections across its replicas:
+      // dials and channels add up, the pipelining high-water mark is the
+      // deepest, and the version is the lowest any dialed replica speaks.
       uint64_t dials = 0;
-      for (size_t r = 0; r < replicated->num_replicas(); ++r) {
-        dials += replicated->replica(r).total_dials();
+      uint64_t live_channels = 0;
+      uint64_t max_pipelined = 0;
+      uint32_t version = 0;
+      for (size_t r = 0; r < remote->num_replicas(); ++r) {
+        const RpcShardClient& replica = remote->replica(r);
+        dials += replica.total_dials();
+        live_channels += replica.live_channels();
+        max_pipelined = std::max<uint64_t>(max_pipelined,
+                                           replica.max_pipelined());
+        const uint32_t negotiated = replica.negotiated_version();
+        if (negotiated != 0 && (version == 0 || negotiated < version)) {
+          version = negotiated;
+        }
       }
-      registry_.GetCounter(prefix + "replica.dials")->Set(dials);
+      registry_.GetCounter(prefix + "rpc.dials")->Set(dials);
+      registry_.GetCounter(prefix + "rpc.live_channels")->Set(live_channels);
+      registry_.GetCounter(prefix + "rpc.max_pipelined")->Set(max_pipelined);
+      registry_.GetCounter(prefix + "rpc.negotiated_version")->Set(version);
+      registry_.GetCounter(prefix + "replica.mark_downs")
+          ->Set(remote->total_mark_downs());
+      registry_.GetCounter(prefix + "replica.replicas")
+          ->Set(remote->num_replicas());
     } else if (const PagedShardClient* paged = ingest::PagedBaseOf(client)) {
       const storage::BufferPoolStats pool = paged->pool_stats();
       registry_.GetCounter(prefix + "pool.hits")->Set(pool.hits);

@@ -1,10 +1,10 @@
 // discovery::Router — the front tier of serving, and the ONE construction
 // path for a queryable deployment. Router::Open(RouterOptions) subsumes
-// the manual wiring callers used to do by hand (ShardedSketchIndex::Load
-// + picking among LocalFileFactory / RpcShardClient::Factory /
-// ReplicaShardClient::Factory and threading three option structs through
-// them): name a manifest, optionally an endpoints file, tune one
-// ServingOptions, and the router assembles the right backend.
+// the manual wiring (ShardedSketchIndex::Load over LocalShardFactory or
+// ReplicaShardClient::Factory): name a manifest, optionally an endpoints
+// file, tune one ServingOptions, and the router assembles the backend —
+// local shard files, or one ReplicaShardClient per shard, where a shard
+// with one endpoint is a replica set of one.
 //
 // Behind the facade, the router adds what every deployment front tier
 // needs and no caller should re-implement:
@@ -115,9 +115,9 @@ struct RouterCacheStats {
 class Router : public Searchable {
  public:
   /// \brief Assembles the deployment `options` describes: loads the
-  /// manifest, resolves the backend (replica endpoints -> replica-aware
-  /// clients; single-endpoint lines -> plain RPC clients; no endpoints ->
-  /// local shard files), and wires cache + admission + metrics around it.
+  /// manifest, resolves the backend (endpoints -> one ReplicaShardClient
+  /// per shard, however many replicas it lists; no endpoints -> local
+  /// shard files), and wires cache + admission + metrics around it.
   /// Fails loudly on manifest/endpoint mismatches, exactly as the
   /// underlying factories always have.
   static Result<std::unique_ptr<Router>> Open(RouterOptions options);
@@ -181,8 +181,9 @@ class Router : public Searchable {
   /// \brief The router's registry — tools may hang extra counters off it.
   metrics::Registry& metrics() const { return registry_; }
   /// \brief One JSON document: registry counters/histograms plus the
-  /// absorbed per-shard gauges (pool dials, pipelining HWM, replica
-  /// mark-downs, paged buffer-pool stats). See README for the name table.
+  /// absorbed per-shard gauges (remote shards: `rpc.*` summed or maxed
+  /// over replicas plus `replica.*`; paged shards: buffer-pool stats).
+  /// See README for the name table.
   std::string StatsJson() const;
 
  private:

@@ -50,23 +50,6 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec) {
   return endpoint;
 }
 
-Status ValidateServingManifest(const ShardManifest& manifest,
-                               size_t num_entries) {
-  if (!manifest.config.has_value()) {
-    return Status::InvalidArgument(
-        "manifest has no embedded JoinMIConfig (legacy v1 format) — "
-        "remote serving needs it to sketch queries; repartition with "
-        "the current build_shards");
-  }
-  if (num_entries != manifest.shards.size()) {
-    return Status::InvalidArgument(
-        "manifest names " + std::to_string(manifest.shards.size()) +
-        " shards but " + std::to_string(num_entries) +
-        " shard endpoint entries were provided");
-  }
-  return Status::OK();
-}
-
 // --------------------------------------------------------- RpcShardClient
 
 RpcShardClient::RpcShardClient(ShardEndpoint endpoint,
@@ -171,60 +154,10 @@ Result<std::pair<net::Socket, uint32_t>> RpcShardClient::DialAndHandshake()
   return std::make_pair(std::move(socket), version);
 }
 
-Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
-                                                 size_t k,
-                                                 size_t num_threads) const {
-  return Search(query, k, num_threads, nullptr);
-}
-
-Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
-                                                 size_t k,
-                                                 size_t num_threads,
-                                                 bool* reached_wire) const {
-  if (k == 0) {
-    return Status::InvalidArgument("shard search requires k >= 1");
-  }
-  std::vector<ShardSearchVariant> variants(1);
-  variants[0].k = k;
-  variants[0].min_join_size = query.config().min_join_size;
-  JOINMI_ASSIGN_OR_RETURN(
-      std::vector<ShardSearchResult> results,
-      SearchVariants(query, variants, num_threads, reached_wire));
-  return std::move(results[0]);
-}
-
 Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
     const JoinMIQuery& query,
     const std::vector<ShardSearchVariant>& variants,
-    size_t num_threads) const {
-  return SearchVariants(query, variants, num_threads, nullptr);
-}
-
-Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
-    const JoinMIQuery& query,
-    const std::vector<ShardSearchVariant>& variants, size_t num_threads,
     bool* reached_wire) const {
-  (void)num_threads;  // evaluation parallelism belongs to the server
-  for (const ShardSearchVariant& variant : variants) {
-    if (variant.k == 0) {
-      return Status::InvalidArgument("shard search requires k >= 1");
-    }
-  }
-  // Everything except min_join_size must match the shard's config: those
-  // fields change estimates, and only min_join_size travels per variant.
-  // Rejecting here keeps "RPC == local, byte for byte" honest.
-  JoinMIConfig comparable = config_;
-  comparable.min_join_size = query.config().min_join_size;
-  if (query.config() != comparable) {
-    return Status::InvalidArgument(
-        "query config (" + query.config().ToString() +
-        ") disagrees with shard server " + endpoint_.ToString() +
-        "'s config (" + config_.ToString() +
-        ") beyond min_join_size — the shard would answer under the wrong "
-        "configuration");
-  }
-  if (variants.empty()) return std::vector<ShardSearchResult>{};
-
   Status last = Status::IOError("no attempt made");
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     auto channel = channels_->Pick();
@@ -238,7 +171,7 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
     }
     bool attempt_reached = false;
     auto result = RunVariants(**channel, query, variants, &attempt_reached);
-    if (attempt_reached && reached_wire != nullptr) *reached_wire = true;
+    if (attempt_reached) *reached_wire = true;
     if (result.ok()) return result;
     // Anything non-IO is deterministic (bad request, server-side
     // validation); anything IO after the request may have reached the
@@ -359,110 +292,48 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
   return results;
 }
 
-Result<rpc::HealthResponse> RpcShardClient::Health() const {
-  auto channel = channels_->Pick();
-  if (!channel.ok()) {
-    return channel.status();
-  }
-  auto frame =
-      (*channel)->Call(net::FrameType::kHealthRequest, "", nullptr);
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  if (frame->type == net::FrameType::kError) {
-    Status server_error;
-    JOINMI_RETURN_NOT_OK(
-        rpc::DecodeErrorPayload(frame->payload, &server_error));
-    return server_error;
-  }
-  if (frame->type != net::FrameType::kHealthResponse) {
-    return Status::IOError(
-        "shard server " + endpoint_.ToString() +
-        " answered a health probe with a " +
-        std::string(net::FrameTypeToString(frame->type)) + " frame");
-  }
-  return rpc::DecodeHealthResponse(frame->payload);
-}
-
-Result<std::string> RpcShardClient::Stats() const {
-  auto channel = channels_->Pick();
-  if (!channel.ok()) {
-    return channel.status();
-  }
-  if (!(*channel)->pipelined()) {
+template <typename Response>
+Result<Response> RpcShardClient::ControlCall(
+    net::FrameType request, net::FrameType reply, const char* what,
+    bool needs_v2,
+    Result<Response> (*decode)(const std::string&)) const {
+  JOINMI_ASSIGN_OR_RETURN(std::shared_ptr<rpc::Channel> channel,
+                          channels_->Pick());
+  if (needs_v2 && !channel->pipelined()) {
     return Status::NotImplemented(
         "shard server " + endpoint_.ToString() +
-        " negotiated JMRP v1, which has no stats frame");
+        " negotiated JMRP v1, which has no " + what + " frame");
   }
-  auto frame = (*channel)->Call(net::FrameType::kStatsRequest, "", nullptr);
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  if (frame->type == net::FrameType::kError) {
+  JOINMI_ASSIGN_OR_RETURN(net::Frame frame,
+                          channel->Call(request, "", nullptr));
+  if (frame.type == net::FrameType::kError) {
     Status server_error;
-    JOINMI_RETURN_NOT_OK(
-        rpc::DecodeErrorPayload(frame->payload, &server_error));
+    JOINMI_RETURN_NOT_OK(rpc::DecodeErrorPayload(frame.payload, &server_error));
     return server_error;
   }
-  if (frame->type != net::FrameType::kStatsResponse) {
+  if (frame.type != reply) {
     return Status::IOError(
-        "shard server " + endpoint_.ToString() +
-        " answered a stats request with a " +
-        std::string(net::FrameTypeToString(frame->type)) + " frame");
+        "shard server " + endpoint_.ToString() + " answered a " + what +
+        " request with a " + std::string(net::FrameTypeToString(frame.type)) +
+        " frame");
   }
-  JOINMI_ASSIGN_OR_RETURN(rpc::StatsResponse response,
-                          rpc::DecodeStatsResponse(frame->payload));
-  JOINMI_RETURN_NOT_OK(response.status);
-  return std::move(response.json);
+  return decode(frame.payload);
+}
+
+Result<rpc::HealthResponse> RpcShardClient::Health() const {
+  return ControlCall(net::FrameType::kHealthRequest,
+                     net::FrameType::kHealthResponse, "health",
+                     /*needs_v2=*/false, &rpc::DecodeHealthResponse);
 }
 
 Result<rpc::ReloadResponse> RpcShardClient::Reload() const {
-  auto channel = channels_->Pick();
-  if (!channel.ok()) {
-    return channel.status();
-  }
-  if (!(*channel)->pipelined()) {
-    return Status::NotImplemented(
-        "shard server " + endpoint_.ToString() +
-        " negotiated JMRP v1, which has no reload frame");
-  }
-  auto frame = (*channel)->Call(net::FrameType::kReloadRequest, "", nullptr);
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  if (frame->type == net::FrameType::kError) {
-    Status server_error;
-    JOINMI_RETURN_NOT_OK(
-        rpc::DecodeErrorPayload(frame->payload, &server_error));
-    return server_error;
-  }
-  if (frame->type != net::FrameType::kReloadResponse) {
-    return Status::IOError(
-        "shard server " + endpoint_.ToString() +
-        " answered a reload request with a " +
-        std::string(net::FrameTypeToString(frame->type)) + " frame");
-  }
-  JOINMI_ASSIGN_OR_RETURN(rpc::ReloadResponse response,
-                          rpc::DecodeReloadResponse(frame->payload));
+  JOINMI_ASSIGN_OR_RETURN(
+      rpc::ReloadResponse response,
+      ControlCall(net::FrameType::kReloadRequest,
+                  net::FrameType::kReloadResponse, "reload",
+                  /*needs_v2=*/true, &rpc::DecodeReloadResponse));
   JOINMI_RETURN_NOT_OK(response.status);
   return response;
-}
-
-ShardClientFactory RpcShardClient::Factory(
-    std::vector<ShardEndpoint> endpoints, RpcClientOptions options) {
-  return [endpoints = std::move(endpoints), options](
-             const ShardManifest& manifest, size_t shard,
-             const std::string& manifest_dir)
-             -> Result<std::unique_ptr<ShardClient>> {
-    (void)manifest_dir;  // remote shards have no local files
-    JOINMI_RETURN_NOT_OK(ValidateServingManifest(manifest, endpoints.size()));
-    JOINMI_ASSIGN_OR_RETURN(
-        std::unique_ptr<RpcShardClient> client,
-        RpcShardClient::Create(endpoints[shard], *manifest.config,
-                               manifest.shards[shard].candidate_count,
-                               options));
-    return std::unique_ptr<ShardClient>(std::move(client));
-  };
 }
 
 }  // namespace joinmi

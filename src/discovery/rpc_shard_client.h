@@ -1,13 +1,15 @@
-// RpcShardClient: the ShardClient implementation that speaks JMRP to a
-// remote shard server process, making a ShardedSketchIndex assembled from
-// host:port endpoints behave exactly like one assembled from local shard
-// files — same methods, same merged rankings, byte for byte.
+// RpcShardClient: one JMRP connection pool to one remote shard server —
+// the per-replica half of remote serving. It is not a ShardClient itself:
+// ReplicaShardClient (replica_router.h) is the one remote ShardClient, and
+// holds one RpcShardClient per replica; a shard with a single endpoint is
+// a replica set of one. Rankings through it are byte-identical to the
+// local shard's.
 //
 // Connection model: an rpc::ChannelSet of at most
 // RpcClientOptions::pool_size channels, each owning one TCP connection
 // that was dialed and handshaken (negotiating the protocol version)
 // before the channel was built. Against a v2 server a channel PIPELINES:
-// concurrent Search calls stamp distinct request ids, share one
+// concurrent searches stamp distinct request ids, share one
 // connection, and are demultiplexed as responses arrive in any order —
 // pool_size bounds connections, not in-flight requests; a v2 channel
 // notices a closed peer through its reader thread. Against a v1 server a
@@ -17,9 +19,9 @@
 // connection is dialed only when every existing channel is busy and
 // capacity remains.
 //
-// Sketch upload: on v2, Search and SearchVariants first ensure the
+// Sketch upload: on v2, SearchVariants first ensures the
 // query's serialized train sketch is cached server-side (keyed by its
-// Checksum64 digest, uploaded once per connection) and then send
+// Checksum64 digest, uploaded once per connection) and then sends
 // digest-only batch requests — a q-variant batch ships the sketch bytes
 // at most once, not q times. The server keeps the newest
 // rpc::kMaxCachedSketches per connection; a batch whose digest it has
@@ -42,7 +44,7 @@
 // twice" is a property this layer refuses to introduce even for
 // idempotent searches. Sketch uploads are the one exception: they are
 // idempotent by digest, so a failed upload may retry on a fresh channel.
-// The reached_wire out-parameters report whether any SEARCH byte left the
+// The reached_wire out-parameter reports whether any SEARCH byte left the
 // process — the signal replica failover keys on.
 
 #ifndef JOINMI_DISCOVERY_RPC_SHARD_CLIENT_H_
@@ -98,15 +100,8 @@ struct RpcClientOptions {
   uint32_t max_protocol_version = net::kProtocolVersion;
 };
 
-/// \brief Validates that `manifest` can back remote serving with
-/// `num_entries` per-shard endpoint entries: it must embed a JoinMIConfig
-/// (v2) and name exactly `num_entries` shards. Shared by the
-/// single-endpoint and replicated factories so the two stay in lockstep.
-Status ValidateServingManifest(const ShardManifest& manifest,
-                               size_t num_entries);
-
-/// \brief ShardClient over a remote shard server.
-class RpcShardClient : public ShardClient {
+/// \brief Connection pool to one remote shard server.
+class RpcShardClient {
  public:
   /// \brief Builds a client for `endpoint`, expecting the server to hold
   /// `expected_candidates` candidates sketched under `expected_config`
@@ -119,7 +114,7 @@ class RpcShardClient : public ShardClient {
 
   /// Closes the channel set so any thread waiting in it wakes with a
   /// deterministic error before members are torn down.
-  ~RpcShardClient() override;
+  ~RpcShardClient();
 
   // Pinned in place: the channel factory captures `this`, so a moved-from
   // client would leave the set dialing through a dangling pointer.
@@ -128,56 +123,21 @@ class RpcShardClient : public ShardClient {
   RpcShardClient(const RpcShardClient&) = delete;
   RpcShardClient& operator=(const RpcShardClient&) = delete;
 
-  /// \brief The manifest-agreed config (identical to the server's; the
-  /// handshake enforces it with JoinMIConfig::operator==).
-  const JoinMIConfig& config() const override { return config_; }
-  size_t num_candidates() const override {
-    return static_cast<size_t>(num_candidates_);
-  }
-  bool waits_on_network() const override { return true; }
-
-  /// \brief Remote search — byte-identical to LocalShardClient over the
-  /// same shard. On v2 this is a one-variant batch against the
-  /// connection-cached sketch; on v1 it ships the serialized sketch with
-  /// the request. `num_threads` is ignored: evaluation parallelism
-  /// belongs to the server. Queries whose config disagrees with the
-  /// shard's (beyond min_join_size, which travels per variant) are
-  /// rejected here — the server would silently answer under *its* config
-  /// otherwise.
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override;
-
-  /// \brief Search with failover telemetry: `*reached_wire` (must start
-  /// false) is set as soon as any byte of a search frame may have left
-  /// the process — after that the server may have executed the request,
-  /// so the caller must not re-send it elsewhere.
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads,
-                                   bool* reached_wire) const;
-
   /// \brief Batched remote search: one frame carries every variant
   /// against the uploaded sketch (v2), or a per-variant loop over plain
-  /// searches on one connection (v1). result[i] answers variants[i].
+  /// searches on one connection (v1). result[i] answers variants[i]. The
+  /// caller has checked the query's config and each variant's k.
+  /// `*reached_wire` (must start false) is set as soon as any byte of a
+  /// search frame may have left the process — after that the server may
+  /// have executed the request, so the caller must not re-send it
+  /// elsewhere.
   Result<std::vector<ShardSearchResult>> SearchVariants(
       const JoinMIQuery& query,
       const std::vector<ShardSearchVariant>& variants,
-      size_t num_threads) const override;
-
-  /// \brief SearchVariants with the reached_wire out-parameter (see
-  /// Search).
-  Result<std::vector<ShardSearchResult>> SearchVariants(
-      const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants, size_t num_threads,
       bool* reached_wire) const;
 
   /// \brief Liveness + identity probe: cheap, never retried.
   Result<rpc::HealthResponse> Health() const;
-
-  /// \brief The server's metrics snapshot as a JSON document (v2 only —
-  /// a v1 server has no stats frame, so this returns NotImplemented
-  /// instead of poisoning the connection with a type it must reject).
-  /// Never retried: stats are advisory telemetry.
-  Result<std::string> Stats() const;
 
   /// \brief Asks the server to re-resolve its deployment reference and
   /// swap in the newest manifest generation (v2 only; never retried —
@@ -210,12 +170,6 @@ class RpcShardClient : public ShardClient {
   /// \brief Channels currently alive (each owns one connection).
   size_t live_channels() const { return channels_->live_channels(); }
 
-  /// \brief ShardClientFactory dialing `endpoints[shard]` for each shard.
-  /// Requires a v2 manifest (embedded config) and exactly one endpoint
-  /// per shard.
-  static ShardClientFactory Factory(std::vector<ShardEndpoint> endpoints,
-                                    RpcClientOptions options = {});
-
  private:
   RpcShardClient(ShardEndpoint endpoint, JoinMIConfig expected_config,
                  uint64_t expected_candidates, RpcClientOptions options);
@@ -233,6 +187,17 @@ class RpcShardClient : public ShardClient {
       rpc::Channel& channel, const JoinMIQuery& query,
       const std::vector<ShardSearchVariant>& variants,
       bool* reached_wire) const;
+
+  /// \brief One never-retried control exchange (health, reload): sends an
+  /// empty `request` frame, turns an error frame into its Status and any
+  /// frame but `reply` into an IOError naming `what`, then decodes.
+  /// `needs_v2` refuses with NotImplemented on a v1 connection instead of
+  /// poisoning it with a frame type it must reject.
+  template <typename Response>
+  Result<Response> ControlCall(
+      net::FrameType request, net::FrameType reply, const char* what,
+      bool needs_v2,
+      Result<Response> (*decode)(const std::string&)) const;
 
   ShardEndpoint endpoint_;
   JoinMIConfig config_;

@@ -1,21 +1,17 @@
-// ServingOptions: one struct describing a serving topology's knobs, where
-// there used to be three unrelated ones (RpcClientOptions for networking,
-// ShardedSketchIndex::LocalShardLoadOptions / PagedShardClient::Options
-// for paged local shards, and a loose cooldown on ReplicaRouterOptions).
-// RouterOptions embeds a ServingOptions and every ShardClientFactory
-// implementation consumes its slice, so an operator tunes a deployment in
-// one place regardless of which backend serves it. The per-layer structs
-// survive as derived slices (rpc()/replica()/local()) because each layer's
-// API keeps its narrow signature.
+// ServingOptions: one struct describing a serving topology's knobs —
+// networking, replica selection and paged local shards. RouterOptions
+// embeds a ServingOptions and both ShardClientFactory implementations
+// consume it (ReplicaShardClient::Factory whole, LocalShardFactory its
+// paged slice), so an operator tunes a deployment in one place regardless
+// of which backend serves it. The per-connection RpcClientOptions and the
+// paged LocalShardLoadOptions survive as derived slices (rpc()/local())
+// because those layers keep their narrow signatures.
 
 #ifndef JOINMI_DISCOVERY_SERVING_OPTIONS_H_
 #define JOINMI_DISCOVERY_SERVING_OPTIONS_H_
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
-#include "src/discovery/replica_router.h"
 #include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/sharded_index.h"
 #include "src/net/frame.h"
@@ -31,13 +27,14 @@ struct ServingOptions {
   /// Attempts per request, counting the first; extra attempts are spent
   /// only on failures that provably precede the request reaching the wire.
   int max_attempts = 2;
-  /// Connections each shard client may hold to one server.
+  /// Connections each replica's RpcShardClient may hold to its server.
   size_t pool_size = 4;
   /// Highest JMRP version to offer in the handshake.
   uint32_t max_protocol_version = net::kProtocolVersion;
 
   // ---- replica selection ----
-  /// How long a failed replica sits out before a Health() reprobe.
+  /// How long a failed replica sits out before a Health() reprobe (below
+  /// 0 counts as 0). A shard with one replica is never probed.
   int cooldown_ms = 1000;
 
   // ---- local paged shards ----
@@ -55,14 +52,6 @@ struct ServingOptions {
     return options;
   }
 
-  /// \brief The slice a ReplicaShardClient consumes (networking + cooldown).
-  ReplicaRouterOptions replica() const {
-    ReplicaRouterOptions options;
-    options.rpc = rpc();
-    options.cooldown_ms = cooldown_ms;
-    return options;
-  }
-
   /// \brief The slice the local-file factory consumes (paged-shard knobs).
   ShardedSketchIndex::LocalShardLoadOptions local() const {
     ShardedSketchIndex::LocalShardLoadOptions options;
@@ -71,23 +60,11 @@ struct ServingOptions {
   }
 };
 
-/// \brief The three ShardClientFactory implementations, each fed from one
-/// ServingOptions — the construction seam Router::Open wires up, exposed
-/// for callers assembling a ShardedSketchIndex directly.
+/// \brief The local-file ShardClientFactory fed from one ServingOptions —
+/// the seam Router::Open wires up for a deployment without endpoints
+/// (ReplicaShardClient::Factory is the remote one).
 inline ShardClientFactory LocalShardFactory(const ServingOptions& options) {
   return ShardedSketchIndex::LocalFileFactory(options.local());
-}
-
-inline ShardClientFactory RpcShardFactory(
-    std::vector<ShardEndpoint> endpoints, const ServingOptions& options) {
-  return RpcShardClient::Factory(std::move(endpoints), options.rpc());
-}
-
-inline ShardClientFactory ReplicaShardFactory(
-    std::vector<std::vector<ShardEndpoint>> replica_endpoints,
-    const ServingOptions& options) {
-  return ReplicaShardClient::Factory(std::move(replica_endpoints),
-                                     options.replica());
 }
 
 }  // namespace joinmi

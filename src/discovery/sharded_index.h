@@ -15,9 +15,9 @@
 //
 // Serving boundary: queries reach shards through the ShardClient interface.
 // LocalShardClient is the in-process implementation over a loaded
-// SketchIndex; RpcShardClient (rpc_shard_client.h) implements the same
-// three methods against a remote shard server process without touching the
-// fan-out or merge. Which one a router uses is decided by the
+// SketchIndex; ReplicaShardClient (replica_router.h) implements the same
+// methods against one or more remote shard server processes without
+// touching the fan-out or merge. Which one a router uses is decided by the
 // ShardClientFactory handed to Load — local shard files and host:port
 // endpoints are interchangeable deployments of the same manifest.
 //
@@ -132,7 +132,7 @@ class ShardClient {
   /// variants[i] and equals what Search would return for a query rebuilt
   /// with that variant's min_join_size. All-or-nothing: the first variant
   /// failure fails the batch. The default implementation loops over
-  /// Search; RpcShardClient overrides it with one batched frame against
+  /// Search; ReplicaShardClient overrides it with one batched frame against
   /// the connection-cached sketch.
   virtual Result<std::vector<ShardSearchResult>> SearchVariants(
       const JoinMIQuery& query,
@@ -187,7 +187,7 @@ class ShardedSketchIndex : public Searchable {
 
   /// \brief Loads a manifest and builds one client per shard through
   /// `factory`. LocalFileFactory() reads shard files next to the
-  /// manifest; RpcShardClient::Factory (rpc_shard_client.h) dials
+  /// manifest; ReplicaShardClient::Factory (replica_router.h) dials
   /// host:port endpoints instead.
   static Result<ShardedSketchIndex> Load(const std::string& manifest_path,
                                          const ShardClientFactory& factory);

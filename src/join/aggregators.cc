@@ -79,15 +79,14 @@ Status AggregatorState::Update(const Value& v) {
   if (v.is_null()) {
     return Status::InvalidArgument("aggregators do not accept null values");
   }
-  if (count_ == 0) {
-    first_ = v;
-    min_ = v;
-    max_ = v;
-  } else {
-    if (v < min_) min_ = v;
-    if (max_ < v) max_ = v;
-  }
+  if (count_ == 0) first_ = v;
   switch (kind_) {
+    case AggKind::kMin:
+      if (count_ == 0 || v < min_) min_ = v;
+      break;
+    case AggKind::kMax:
+      if (count_ == 0 || max_ < v) max_ = v;
+      break;
     case AggKind::kAvg:
     case AggKind::kSum:
     case AggKind::kMedian: {

@@ -67,8 +67,8 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 namespace {
 
 constexpr char kMagic[4] = {'J', 'M', 'S', 'K'};
-// v1 had no hash_seed field; v2 inserts it after the side byte.
-constexpr uint32_t kLegacyVersion = 1;
+// v2 added the hash_seed field after the side byte. v1 buffers are
+// refused: they carry no seed, so seed agreement could not be enforced.
 constexpr uint32_t kVersion = 2;
 
 // Value tags in the wire format.
@@ -156,7 +156,7 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   }
   uint32_t version = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&version));
-  if (version != kVersion && version != kLegacyVersion) {
+  if (version != kVersion) {
     return Status::IOError("unsupported sketch version " +
                            std::to_string(version));
   }
@@ -172,12 +172,7 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   Sketch sketch;
   sketch.method = static_cast<SketchMethod>(method);
   sketch.side = static_cast<SketchSide>(side);
-  if (version >= 2) {
-    // v1 buffers predate seed tracking and deserialize with the default
-    // seed 0. A v1 sketch actually built under a non-default seed cannot
-    // be detected — re-sketch such data to regain seed enforcement.
-    JOINMI_RETURN_NOT_OK(reader.Read(&sketch.hash_seed));
-  }
+  JOINMI_RETURN_NOT_OK(reader.Read(&sketch.hash_seed));
   uint64_t capacity = 0, source_rows = 0, distinct = 0, count = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&capacity));
   JOINMI_RETURN_NOT_OK(reader.Read(&source_rows));
@@ -187,8 +182,9 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   sketch.source_rows = source_rows;
   sketch.source_distinct_keys = distinct;
   // An upper bound check so corrupted counts cannot trigger huge allocs:
-  // each entry needs at least 17 bytes on the wire.
-  if (count * 17 > data.size()) {
+  // each entry needs at least 17 bytes on the wire. Divide rather than
+  // multiply so a crafted count cannot wrap past the check.
+  if (count > reader.remaining() / 17) {
     return Status::IOError("sketch entry count exceeds buffer size");
   }
   sketch.entries.reserve(count);

@@ -24,7 +24,7 @@
 #include "src/common/random.h"
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/router.h"
-#include "src/discovery/rpc_shard_client.h"
+#include "src/discovery/replica_router.h"
 #include "src/discovery/search.h"
 #include "src/discovery/shard_server.h"
 #include "src/discovery/sharded_index.h"
@@ -757,10 +757,11 @@ TEST_F(IngestTest, ShardServerReloadPicksUpNewEpochOverRpc) {
   EXPECT_EQ((*server)->num_candidates(), base_count);
 
   const JoinMIConfig config = (*server)->config();
-  RpcClientOptions rpc_options;
-  rpc_options.pool_size = 1;  // the handshaked connection survives reload
-  auto client = RpcShardClient::Create({"127.0.0.1", (*server)->port()},
-                                       config, base_count, rpc_options);
+  ServingOptions serving;
+  serving.pool_size = 1;  // the handshaked connection survives reload
+  auto client =
+      ReplicaShardClient::Create({{"127.0.0.1", (*server)->port()}}, config,
+                                 base_count, serving);
   ASSERT_TRUE(client.ok()) << client.status();
 
   auto query = JoinMIQuery::Create(*universe_.base, "K", "Y", config);
@@ -811,7 +812,7 @@ TEST_F(IngestTest, ShardServerReloadPicksUpNewEpochOverRpc) {
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto reload = (*client)->Reload();
+  auto reload = (*client)->replica(0).Reload();
   searcher.join();
   EXPECT_FALSE(mismatch.load());
   ASSERT_TRUE(reload.ok()) << reload.status();

@@ -101,16 +101,10 @@ void WriteFileOrDie(const std::string& path, const std::string& contents) {
   out << contents;
 }
 
-RpcClientOptions FastTimeouts() {
-  RpcClientOptions options;
+ServingOptions FastReplicaOptions(int cooldown_ms = 100) {
+  ServingOptions options;
   options.connect_timeout_ms = 500;
   options.io_timeout_ms = 10000;
-  return options;
-}
-
-ReplicaRouterOptions FastReplicaOptions(int cooldown_ms = 100) {
-  ReplicaRouterOptions options;
-  options.rpc = FastTimeouts();
   options.cooldown_ms = cooldown_ms;
   return options;
 }
@@ -303,6 +297,19 @@ TEST(ReplicaSetTest, ReprobeFiresOncePerCooldownPeriod) {
   // Re-armed: immediately asking again yields nothing.
   EXPECT_TRUE(set.DueForReprobe().empty());
   EXPECT_TRUE(set.IsDown(1));  // a probe being due does not heal it
+}
+
+TEST(ReplicaSetTest, SetOfOneIsNeverReprobedButStillAttempted) {
+  // A single-endpoint shard has no routing choice to make: its replica is
+  // attempted whether marked down or not, so a probe would only add a
+  // round trip before that attempt.
+  ReplicaSet set(1, /*cooldown_ms=*/0);
+  set.MarkDown(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(set.DueForReprobe().empty());
+  EXPECT_EQ(set.PlanAttempts(), std::vector<size_t>{0});
+  EXPECT_TRUE(set.IsDown(0));
+  EXPECT_EQ(set.total_mark_downs(), 1u);
 }
 
 TEST(ReplicaSetTest, AllDownStillPlansEveryReplica) {

@@ -14,16 +14,20 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/admission.h"
 #include "src/common/random.h"
+#include "src/discovery/replica_router.h"
 #include "src/discovery/router.h"
 #include "src/discovery/search.h"
+#include "src/discovery/shard_server.h"
 #include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
 #include "src/table/table.h"
@@ -505,6 +509,104 @@ TEST_F(RouterTest, StatsJsonCarriesCacheAdmissionAndLatency) {
         "\"router.admission.admitted\":2", "router.search.latency_us"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name << " in " << json;
   }
+}
+
+// The names of every per-shard gauge in a StatsJson document.
+std::set<std::string> ShardGaugeNames(const std::string& json) {
+  std::set<std::string> names;
+  for (size_t at = json.find("\"shard."); at != std::string::npos;
+       at = json.find("\"shard.", at + 1)) {
+    const size_t end = json.find('"', at + 1);
+    names.insert(json.substr(at + 1, end - at - 1));
+  }
+  return names;
+}
+
+uint64_t CounterValue(const std::string& json, const std::string& name) {
+  const std::string needle = "\"" + name + "\":";
+  const size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << name << " in " << json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+TEST_F(RouterTest, SingleEndpointShardsAreReplicaSetsOfOne) {
+  // One remote client for every endpoints map: a deployment with one
+  // server per shard and one with two replicas per shard both build
+  // ReplicaShardClients and export the same per-shard gauge names.
+  const size_t num_shards = 2;
+  const std::string manifest =
+      BuildLayout(num_shards, ShardPartitionPolicy::kRoundRobin, "remote");
+  std::vector<std::unique_ptr<ShardServer>> servers;
+  std::vector<std::vector<ShardEndpoint>> single(num_shards);
+  std::vector<std::vector<ShardEndpoint>> replicated(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    for (size_t r = 0; r < 3; ++r) {
+      ShardServerOptions server_options;
+      server_options.num_workers = 1;
+      auto server = ShardServer::Create(manifest, s, server_options);
+      ASSERT_TRUE(server.ok()) << server.status();
+      ASSERT_TRUE((*server)->Start().ok());
+      const ShardEndpoint endpoint{"127.0.0.1", (*server)->port()};
+      (r == 0 ? single[s] : replicated[s]).push_back(endpoint);
+      servers.push_back(std::move(*server));
+    }
+  }
+  // The single-endpoint map goes through an endpoints file, one
+  // host:port per line — the operator's path.
+  const std::string endpoints_path = dir_ + "/endpoints.txt";
+  {
+    std::ofstream out(endpoints_path);
+    for (const auto& row : single) out << row[0].ToString() << "\n";
+  }
+  RouterOptions single_options;
+  single_options.manifest_path = manifest;
+  single_options.endpoints_path = endpoints_path;
+  RouterOptions replicated_options;
+  replicated_options.manifest_path = manifest;
+  replicated_options.replica_endpoints = replicated;
+
+  auto reference = Unsharded(3);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  std::vector<std::string> stats;
+  for (const RouterOptions* options : {&single_options, &replicated_options}) {
+    auto router = Router::Open(*options);
+    ASSERT_TRUE(router.ok()) << router.status();
+    const size_t replicas = options == &single_options ? 1 : 2;
+    for (size_t s = 0; s < num_shards; ++s) {
+      const auto* remote = dynamic_cast<const ReplicaShardClient*>(
+          &(*router)->index().client(s));
+      ASSERT_NE(remote, nullptr) << "shard " << s;
+      EXPECT_EQ(remote->num_replicas(), replicas);
+    }
+    auto result = (*router)->Search(*universe_.base, {"K", "Y"}, 3);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ExpectBitIdentical(*reference, *result);
+    stats.push_back((*router)->StatsJson());
+    for (size_t s = 0; s < num_shards; ++s) {
+      const std::string prefix = "shard." + std::to_string(s) + ".";
+      EXPECT_EQ(CounterValue(stats.back(), prefix + "replica.replicas"),
+                replicas);
+      EXPECT_EQ(CounterValue(stats.back(), prefix + "replica.mark_downs"),
+                0u);
+      EXPECT_EQ(CounterValue(stats.back(), prefix + "rpc.dials"), replicas);
+      EXPECT_EQ(CounterValue(stats.back(), prefix + "rpc.live_channels"),
+                replicas);
+      EXPECT_EQ(
+          CounterValue(stats.back(), prefix + "rpc.negotiated_version"),
+          net::kProtocolVersion);
+    }
+  }
+  const std::set<std::string> expected_names = {
+      "shard.0.replica.mark_downs",   "shard.0.replica.replicas",
+      "shard.0.rpc.dials",            "shard.0.rpc.live_channels",
+      "shard.0.rpc.max_pipelined",    "shard.0.rpc.negotiated_version",
+      "shard.1.replica.mark_downs",   "shard.1.replica.replicas",
+      "shard.1.rpc.dials",            "shard.1.rpc.live_channels",
+      "shard.1.rpc.max_pipelined",    "shard.1.rpc.negotiated_version"};
+  EXPECT_EQ(ShardGaugeNames(stats[0]), expected_names) << stats[0];
+  EXPECT_EQ(ShardGaugeNames(stats[1]), expected_names) << stats[1];
+  for (auto& server : servers) server->Stop();
 }
 
 TEST_F(RouterTest, OpenRequiresAManifestPath) {

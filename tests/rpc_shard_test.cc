@@ -1,6 +1,7 @@
 // End-to-end tests for networked shard serving, over real loopback
 // sockets: ShardServer processes-in-miniature (in-process instances, real
-// TCP) serve shard files, RpcShardClient dials them, and the acceptance
+// TCP) serve shard files, one-replica ReplicaShardClients dial them (each
+// over its RpcShardClient connection pool), and the acceptance
 // gate is bit-identical rankings against LocalShardClient for K in
 // {1, 2, 7}, both partition policies, and any thread count. Availability:
 // killing one shard fails a strict-mode query with a clear status, while
@@ -159,11 +160,23 @@ void StartDeployment(const SketchIndex& index, size_t num_shards,
   }
 }
 
-RpcClientOptions FastTimeouts() {
-  RpcClientOptions options;
+ServingOptions FastTimeouts() {
+  ServingOptions options;
   options.connect_timeout_ms = 500;
   options.io_timeout_ms = 10000;
   return options;
+}
+
+// The remote factory over a deployment with one server per shard: each
+// shard is a replica set of one.
+ShardClientFactory OneReplicaFactory(
+    const std::vector<ShardEndpoint>& endpoints,
+    const ServingOptions& options) {
+  std::vector<std::vector<ShardEndpoint>> replicas;
+  for (const ShardEndpoint& endpoint : endpoints) {
+    replicas.push_back({endpoint});
+  }
+  return ReplicaShardClient::Factory(std::move(replicas), options);
 }
 
 // ------------------------------------------------------- Endpoint file v1
@@ -241,7 +254,7 @@ TEST(RpcShardTest, RpcRankingsBitIdenticalToLocalForEveryKPolicyThreads) {
       ASSERT_TRUE(local.ok()) << local.status();
       auto remote = ShardedSketchIndex::Load(
           deployment.manifest_path,
-          RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+          OneReplicaFactory(deployment.endpoints, FastTimeouts()));
       ASSERT_TRUE(remote.ok()) << remote.status();
       EXPECT_EQ(remote->num_shards(), num_shards);
       EXPECT_TRUE(remote->config() == index.config());
@@ -271,7 +284,7 @@ TEST(RpcShardTest, ConnectionsAreReusedAcrossQueries) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment.endpoints, FastTimeouts()));
   ASSERT_TRUE(remote.ok()) << remote.status();
   auto query =
       JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
@@ -306,22 +319,21 @@ TEST(RpcShardTest, ConnectionsAreReusedAcrossQueries) {
 
 // --------------------------------------------- Concurrent multiplexing
 
-// Builds a 1-shard RPC router whose single typed client is observable, so
-// tests can read pool instrumentation after driving traffic through the
-// normal ShardedSketchIndex surface.
+// Builds a 1-shard RPC router whose single replica's connection pool is
+// observable, so tests can read pool instrumentation after driving traffic
+// through the normal ShardedSketchIndex surface.
 void MakeSingleShardRouter(const Deployment& deployment,
-                           RpcClientOptions options,
+                           const ServingOptions& options,
                            std::unique_ptr<ShardedSketchIndex>* router,
                            const RpcShardClient** client_out) {
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   ASSERT_TRUE(manifest->config.has_value());
-  auto client = RpcShardClient::Create(deployment.endpoints[0],
-                                       *manifest->config,
-                                       manifest->shards[0].candidate_count,
-                                       options);
+  auto client = ReplicaShardClient::Create(
+      {deployment.endpoints[0]}, *manifest->config,
+      manifest->shards[0].candidate_count, options);
   ASSERT_TRUE(client.ok()) << client.status();
-  *client_out = client->get();
+  *client_out = &(*client)->replica(0);
   std::vector<std::unique_ptr<ShardClient>> clients;
   clients.push_back(std::move(*client));
   auto assembled =
@@ -338,7 +350,7 @@ TEST(RpcShardTest, ConcurrentRouterThreadsMultiplexOneShardViaThePool) {
   StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "mux",
                   &deployment, /*num_workers=*/8);
 
-  RpcClientOptions options = FastTimeouts();
+  ServingOptions options = FastTimeouts();
   options.pool_size = 4;
   std::unique_ptr<ShardedSketchIndex> router;
   const RpcShardClient* client = nullptr;
@@ -399,7 +411,7 @@ TEST(RpcShardTest, PoolOfOneBlocksConcurrentQueriesInsteadOfOverdialing) {
   StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "pool1",
                   &deployment, /*num_workers=*/4);
 
-  RpcClientOptions options = FastTimeouts();
+  ServingOptions options = FastTimeouts();
   options.pool_size = 1;
   std::unique_ptr<ShardedSketchIndex> router;
   const RpcShardClient* client = nullptr;
@@ -470,7 +482,7 @@ TEST(RpcShardTest, KilledShardFailsStrictAndDegradesGracefully) {
   deployment.servers[dead_shard]->Stop();
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment.endpoints, FastTimeouts()));
   ASSERT_TRUE(remote.ok()) << remote.status();
 
   // Strict mode: the query fails, naming the dead shard.
@@ -566,11 +578,11 @@ TEST(RpcShardTest, RestartedServerHealsCachedConnectionsTransparently) {
     Deployment deployment;
     StartDeployment(index, 2, ShardPartitionPolicy::kRoundRobin,
                     "restart_v" + std::to_string(version), &deployment);
-    RpcClientOptions options = FastTimeouts();
+    ServingOptions options = FastTimeouts();
     options.max_protocol_version = version;
     auto remote = ShardedSketchIndex::Load(
         deployment.manifest_path,
-        RpcShardClient::Factory(deployment.endpoints, options));
+        OneReplicaFactory(deployment.endpoints, options));
     ASSERT_TRUE(remote.ok()) << remote.status();
     auto query =
         JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
@@ -615,7 +627,7 @@ TEST(RpcShardTest, AllShardsDownFailsEvenDegraded) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment.endpoints, FastTimeouts()));
   ASSERT_TRUE(remote.ok());
   for (auto& server : deployment.servers) server->Stop();
   auto query =
@@ -641,7 +653,7 @@ TEST(RpcShardTest, HealthProbeReportsLivenessAndOutage) {
 
   auto client = RpcShardClient::Create(
       deployment.endpoints[0], *manifest->config,
-      manifest->shards[0].candidate_count, FastTimeouts());
+      manifest->shards[0].candidate_count, FastTimeouts().rpc());
   ASSERT_TRUE(client.ok()) << client.status();
   auto health = (*client)->Health();
   ASSERT_TRUE(health.ok()) << health.status();
@@ -676,7 +688,7 @@ TEST(RpcShardTest, HandshakeRejectsConfigDisagreement) {
   tampered.hash_seed = 9;
   auto client = RpcShardClient::Create(
       deployment.endpoints[0], tampered,
-      manifest->shards[0].candidate_count, FastTimeouts());
+      manifest->shards[0].candidate_count, FastTimeouts().rpc());
   ASSERT_FALSE(client.ok());
   EXPECT_TRUE(client.status().IsInvalidArgument()) << client.status();
   EXPECT_NE(client.status().message().find("JoinMIConfig"),
@@ -695,7 +707,7 @@ TEST(RpcShardTest, SearchRejectsQueryConfigDrift) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment.endpoints, FastTimeouts()));
   ASSERT_TRUE(remote.ok());
 
   JoinMIConfig drifted = MakeIndexConfig();
@@ -750,7 +762,7 @@ TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "pipeline",
                   &deployment, /*num_workers=*/4);
 
-  RpcClientOptions options = FastTimeouts();
+  ServingOptions options = FastTimeouts();
   options.pool_size = 1;
   std::unique_ptr<ShardedSketchIndex> router;
   const RpcShardClient* client = nullptr;
@@ -825,7 +837,7 @@ TEST(RpcShardTest, LongLivedV2ClientAnswersPastTheSketchCacheBound) {
   StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "distinct",
                   &deployment, /*num_workers=*/4);
 
-  RpcClientOptions options = FastTimeouts();
+  ServingOptions options = FastTimeouts();
   options.pool_size = 1;
   std::unique_ptr<ShardedSketchIndex> router;
   const RpcShardClient* client = nullptr;
@@ -1157,7 +1169,7 @@ TEST(RpcShardTest, BatchedVariantsBitIdenticalAcrossShardsAndPolicies) {
       ASSERT_TRUE(local.ok()) << local.status();
       auto remote = ShardedSketchIndex::Load(
           deployment.manifest_path,
-          RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+          OneReplicaFactory(deployment.endpoints, FastTimeouts()));
       ASSERT_TRUE(remote.ok()) << remote.status();
 
       auto query =
@@ -1205,13 +1217,13 @@ TEST(RpcShardTest, V1ClientAgainstV2ServerStaysBitIdentical) {
   StartDeployment(index, 2, ShardPartitionPolicy::kRoundRobin, "v1client",
                   &deployment);
 
-  RpcClientOptions options = FastTimeouts();
+  ServingOptions options = FastTimeouts();
   options.max_protocol_version = 1;
   auto local = ShardedSketchIndex::Load(deployment.manifest_path);
   ASSERT_TRUE(local.ok());
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, options));
+      OneReplicaFactory(deployment.endpoints, options));
   ASSERT_TRUE(remote.ok()) << remote.status();
 
   auto query =
@@ -1367,11 +1379,11 @@ TEST(RpcShardTest, V2ClientAgainstLegacyV1ServerNegotiatesDown) {
   auto legacy = LegacyServer::Start(*manifest, dir);
 
   ASSERT_TRUE(manifest->config.has_value());
-  auto client = RpcShardClient::Create(
-      ShardEndpoint{"127.0.0.1", legacy->port()}, *manifest->config,
+  auto client = ReplicaShardClient::Create(
+      {ShardEndpoint{"127.0.0.1", legacy->port()}}, *manifest->config,
       manifest->shards[0].candidate_count, FastTimeouts());
   ASSERT_TRUE(client.ok()) << client.status();
-  EXPECT_EQ((*client)->negotiated_version(), 1u);
+  EXPECT_EQ((*client)->replica(0).negotiated_version(), 1u);
 
   auto local = ShardedSketchIndex::Load(*manifest_path);
   ASSERT_TRUE(local.ok());

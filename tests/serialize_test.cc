@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/random.h"
 #include "src/sketch/builder.h"
 #include "src/sketch/serialize.h"
@@ -194,7 +196,9 @@ std::string EncodeV1(const Sketch& sketch) {
   return out;
 }
 
-TEST(SerializeTest, ReadsLegacyV1BuffersWithDefaultSeed) {
+TEST(SerializeTest, RejectsLegacyV1BuffersNamingTheVersion) {
+  // v1 carried no hash seed, so a v1 sketch could join under the wrong
+  // seed undetected. The reader refuses it instead of assuming seed 0.
   Sketch sketch;
   sketch.method = SketchMethod::kTupsk;
   sketch.side = SketchSide::kCandidate;
@@ -204,10 +208,10 @@ TEST(SerializeTest, ReadsLegacyV1BuffersWithDefaultSeed) {
   sketch.entries.push_back(SketchEntry{3, 0.25, Value(int64_t{10})});
   sketch.entries.push_back(SketchEntry{8, 0.5, Value(int64_t{20})});
   auto restored = DeserializeSketch(EncodeV1(sketch));
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // v1 predates seed tracking; the default seed 0 is assumed on load.
-  EXPECT_EQ(restored->hash_seed, 0u);
-  ExpectSketchesEqual(sketch, *restored);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsIOError()) << restored.status();
+  EXPECT_NE(restored.status().message().find("version 1"), std::string::npos)
+      << restored.status();
 }
 
 TEST(SerializeTest, MismatchedSeedSketchesRefuseToJoin) {
@@ -322,6 +326,20 @@ TEST(SerializeTest, RejectsCorruptedInputs) {
     bad_count[count_offset + static_cast<size_t>(b)] = '\xFF';
   }
   EXPECT_FALSE(DeserializeSketch(bad_count).ok());
+
+  // A header-only buffer whose entry count times 17 wraps to 16 bytes:
+  // the bound check must not overflow into letting reserve() throw.
+  Sketch empty;
+  empty.capacity = 4;
+  std::string wrapping = SerializeSketch(empty);
+  ASSERT_EQ(wrapping.size(), 46u);
+  const uint64_t wrapping_count = 1085102592571150096ull;
+  ASSERT_EQ(wrapping_count * 17, 16u);
+  std::memcpy(&wrapping[count_offset], &wrapping_count,
+              sizeof(wrapping_count));
+  auto wrapped = DeserializeSketch(wrapping);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_TRUE(wrapped.status().IsIOError()) << wrapped.status();
 }
 
 // ------------------------------------------------------ wire::Checksum64
